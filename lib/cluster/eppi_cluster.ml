@@ -99,10 +99,9 @@ module Fanout = struct
     in
     go 1
 
-  let republish ?(retries = 3) ?(retry_delay = 0.05) ?(request_timeout = 30.0) ?(seed = 0x5e7)
-      set index =
+  let republish_payload ?(retries = 3) ?(retry_delay = 0.05) ?(request_timeout = 30.0)
+      ?(seed = 0x5e7) set data =
     if retries < 0 then invalid_arg "Fanout.republish: negative retries";
-    let data = Index_codec.encode index in
     let t0 = Clock.seconds () in
     let rng = Rng.create seed in
     (* One domain per replica; each carries its own split of the jitter
@@ -130,6 +129,9 @@ module Fanout = struct
       generation;
       wall_seconds = Clock.seconds () -. t0;
     }
+
+  let republish ?retries ?retry_delay ?request_timeout ?seed set index =
+    republish_payload ?retries ?retry_delay ?request_timeout ?seed set (Index_codec.encode index)
 
   let status ?(request_timeout = 30.0) set =
     List.map

@@ -105,6 +105,19 @@ module Fanout : sig
       deterministic for tests.  Never raises on replica failure — that
       is what [report.failed] is for. *)
 
+  val republish_payload :
+    ?retries:int ->
+    ?retry_delay:float ->
+    ?request_timeout:float ->
+    ?seed:int ->
+    Replica_set.t ->
+    string ->
+    report
+  (** {!republish} with the {!Eppi_net.Index_codec} payload already
+      encoded (e.g. read from an index file), pushed as is: each
+      replica's decoder validates it, and a replica that rejects it
+      fails fatally, without retries. *)
+
   val status :
     ?request_timeout:float ->
     Replica_set.t ->

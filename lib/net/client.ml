@@ -366,11 +366,13 @@ let republish t ~index_csv =
   | Server_error msg -> Error msg
   | other -> unexpected "republish" other
 
-let republish_index t index =
-  match call t (Wire.Republish_binary { data = Index_codec.encode index }) with
+let republish_payload t data =
+  match call t (Wire.Republish_binary { data }) with
   | Republished { generation } -> Ok generation
   | Server_error msg -> Error msg
   | other -> unexpected "republish" other
+
+let republish_index t index = republish_payload t (Index_codec.encode index)
 
 let ping t =
   match call t Wire.Ping with

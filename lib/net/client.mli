@@ -145,6 +145,12 @@ val republish_index : t -> Eppi.Index.t -> (int, string) result
     server's I/O loop.  Prefer this unless the peer predates the binary
     codec. *)
 
+val republish_payload : t -> string -> (int, string) result
+(** {!republish_index} with the payload already encoded — e.g. the bytes
+    of an {!Index_file} past its magic — shipped as is.  The server's
+    total decoder is the judge of whether they are a valid index; a
+    rejection comes back as [Error message]. *)
+
 val ping : t -> unit
 
 val shutdown : t -> unit

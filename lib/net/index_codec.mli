@@ -1,12 +1,15 @@
 (** Compact binary serialization of a published {!Eppi.Index}.
 
-    The republish hot path used to ship the index as CSV — one ASCII
-    [j,p] line (~9 bytes) per published cell, parsed line by line on the
-    daemon's I/O loop.  This codec is the replacement payload: rows are
-    Rice-coded gap sequences (near the entropy of a sparse row, ~8 bits
-    per cell at the bench's n=2000 x m=1024 scale) or raw bitmaps when
-    dense, self-describing and versioned, and roughly an order of
-    magnitude smaller than the CSV.
+    The one serialized form of an index: the payload of a binary
+    republish frame, and, behind a magic, the index file on disk
+    ({!Index_file}).  It replaced CSV, one ASCII [j,p] line (~9 bytes)
+    per published cell: rows are Rice-coded gap sequences (near the
+    entropy of a sparse row, ~8 bits per cell at the bench's n=2000 x
+    m=1024 scale) or raw bitmaps when dense, self-describing and
+    versioned, and roughly an order of magnitude smaller than the CSV.
+    Both directions work a machine word at a time (64-bit loads,
+    trailing-ones counts for the unary quotients, word copies of bitmap
+    rows), producing the same bytes a bit-at-a-time coder would.
 
     Layout (codec version 1; varints are unsigned LEB128; the body is one
     continuous bit stream, LSB-first within each byte, zero-padded to a

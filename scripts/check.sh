@@ -4,6 +4,16 @@
 set -eu
 cd "$(dirname "$0")/.."
 
+# Every index file `eppi construct -o` writes starts with the 8-byte magic
+# \x89EPPIDX\n (docs/SERVE.md, "Index files").
+assert_index_file() {
+  magic=$(head -c 8 "$1" | od -An -tx1 | tr -d ' \n')
+  if [ "$magic" != "894550504944580a" ]; then
+    echo "check: $1 does not start with the index-file magic (got $magic)" >&2
+    exit 1
+  fi
+}
+
 echo "== dune build =="
 dune build @all
 
@@ -47,15 +57,19 @@ rm -f BENCH_serve.json
 # secure 2-domain construction end to end, then check the emitted Chrome
 # trace-event JSON parses and actually contains what the instrumentation
 # promises — complete spans for all three construction phases, GMW spans
-# with byte accounting, and one counter track per pool worker.
+# with byte accounting, one counter track per pool worker, and the
+# artifact.write span with the index file's size.
 echo "== trace smoke =="
 dune exec bin/eppi_cli.exe -- generate --owners 60 --providers 12 --seed 3 \
   -o /tmp/eppi_trace_dataset.csv >/dev/null
 dune exec bin/eppi_cli.exe -- construct -d /tmp/eppi_trace_dataset.csv \
-  --secure --domains 2 --trace /tmp/eppi_trace.json -o /tmp/eppi_trace_index.csv
+  --secure --domains 2 --trace /tmp/eppi_trace.json -o /tmp/eppi_trace_index.eppi
+assert_index_file /tmp/eppi_trace_index.eppi
+EPPI_TRACE_INDEX_BYTES=$(wc -c < /tmp/eppi_trace_index.eppi)
+export EPPI_TRACE_INDEX_BYTES
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
-import json
+import json, os
 with open("/tmp/eppi_trace.json") as f:
     events = json.load(f)["traceEvents"]
 def spans(name):
@@ -75,12 +89,22 @@ if not any(e["name"] == "gmw.execute" and e["ph"] == "E" and "bytes" in e.get("a
 workers = {e["name"] for e in events if e["ph"] == "C" and e["name"].startswith("pool/worker-")}
 if len(workers) < 2:
     raise SystemExit(f"trace: expected counter tracks for 2 pool workers, got {sorted(workers)}")
-print(f"trace ok: {len(events)} events, pool counters {sorted(workers)}")
+ab, ae = spans("artifact.write")
+if ab != 1 or ae != 1:
+    raise SystemExit(f"trace: artifact.write has {ab} begins / {ae} ends, expected one span")
+size = int(os.environ["EPPI_TRACE_INDEX_BYTES"])
+written = [e["args"].get("bytes") for e in events
+           if e["name"] == "artifact.write" and e["ph"] == "E"]
+if written != [size]:
+    raise SystemExit(f"trace: artifact.write bytes {written}, index file has {size}")
+print(f"trace ok: {len(events)} events, pool counters {sorted(workers)}, "
+      f"artifact.write {size} bytes")
 EOF
 fi
-rm -f /tmp/eppi_trace_dataset.csv /tmp/eppi_trace_index.csv
+rm -f /tmp/eppi_trace_dataset.csv /tmp/eppi_trace_index.eppi
 
-# A ~5 s smoke of the network front-end (docs/SERVE.md): start the daemon
+# A ~5 s smoke of the network front-end (docs/SERVE.md): check that the
+# daemon refuses a CSV index file with a clean non-zero exit, then start it
 # on a Unix socket with 4 worker domains, drive 100 pipelined queries, a
 # binary hot-swap republish and a CSV compat republish through
 # `eppi query`/`eppi republish`, assert the metrics conserve every request
@@ -92,18 +116,35 @@ NET_DIR=$(mktemp -d /tmp/eppi_net_smoke.XXXXXX)
 NET_SOCK="$NET_DIR/eppi.sock"
 trap 'rm -rf "$NET_DIR"' EXIT
 "$EPPI" generate --owners 80 --providers 24 --seed 5 -o "$NET_DIR/net.csv" >/dev/null
-"$EPPI" construct -d "$NET_DIR/net.csv" -o "$NET_DIR/index1.csv" 2>/dev/null
-"$EPPI" construct -d "$NET_DIR/net.csv" --seed 9 --policy basic -o "$NET_DIR/index2.csv" 2>/dev/null
-"$EPPI" serve -i "$NET_DIR/index1.csv" --listen "$NET_SOCK" --shards 2 --domains 4 \
+"$EPPI" construct -d "$NET_DIR/net.csv" -o "$NET_DIR/index1.eppi" 2>/dev/null
+"$EPPI" construct -d "$NET_DIR/net.csv" --seed 9 --policy basic -o "$NET_DIR/index2.eppi" 2>/dev/null
+assert_index_file "$NET_DIR/index1.eppi"
+assert_index_file "$NET_DIR/index2.eppi"
+# A CSV index (the old on-disk format, now only `eppi export --csv`) is
+# refused by content: exit 1, a message naming both commands, no
+# exception, and no socket left behind.
+"$EPPI" export --csv -i "$NET_DIR/index1.eppi" -o "$NET_DIR/index1.csv"
+if "$EPPI" serve -i "$NET_DIR/index1.csv" --listen "$NET_SOCK" 2>"$NET_DIR/csv.err"; then
+  echo "net smoke: eppi serve accepted a CSV index file" >&2
+  exit 1
+fi
+grep -q "eppi construct" "$NET_DIR/csv.err"
+grep -q "eppi export" "$NET_DIR/csv.err"
+if grep -q -i "exception" "$NET_DIR/csv.err"; then
+  echo "net smoke: eppi serve raised on a CSV index file" >&2
+  exit 1
+fi
+test ! -e "$NET_SOCK"
+"$EPPI" serve -i "$NET_DIR/index1.eppi" --listen "$NET_SOCK" --shards 2 --domains 4 \
   >"$NET_DIR/server.json" 2>"$NET_DIR/server.log" &
 NET_PID=$!
 # 100 queries: two rounds of 50, pipelined over one connection each, with a
 # binary hot-swap republish in between (generation 1 -> 2, queries keep
 # flowing), then a CSV-payload republish (generation 3) for compat.
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$NET_SOCK" >"$NET_DIR/replies1.txt"
-"$EPPI" republish --connect "$NET_SOCK" -i "$NET_DIR/index2.csv" | grep -q "generation 2"
+"$EPPI" republish --connect "$NET_SOCK" -i "$NET_DIR/index2.eppi" | grep -q "generation 2"
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$NET_SOCK" >"$NET_DIR/replies2.txt"
-"$EPPI" republish --connect "$NET_SOCK" --csv -i "$NET_DIR/index1.csv" | grep -q "generation 3"
+"$EPPI" republish --connect "$NET_SOCK" --csv -i "$NET_DIR/index1.eppi" | grep -q "generation 3"
 test "$(wc -l < "$NET_DIR/replies1.txt")" -eq 50
 test "$(wc -l < "$NET_DIR/replies2.txt")" -eq 50
 "$EPPI" stats --connect "$NET_SOCK" >"$NET_DIR/stats.json"
@@ -168,11 +209,13 @@ echo "== cluster smoke =="
 CLU_DIR=$(mktemp -d /tmp/eppi_cluster_smoke.XXXXXX)
 trap 'rm -rf "$CLU_DIR"' EXIT
 "$EPPI" generate --owners 80 --providers 24 --seed 5 -o "$CLU_DIR/net.csv" >/dev/null
-"$EPPI" construct -d "$CLU_DIR/net.csv" -o "$CLU_DIR/index1.csv" 2>/dev/null
-"$EPPI" construct -d "$CLU_DIR/net.csv" --seed 9 --policy basic -o "$CLU_DIR/index2.csv" 2>/dev/null
+"$EPPI" construct -d "$CLU_DIR/net.csv" -o "$CLU_DIR/index1.eppi" 2>/dev/null
+"$EPPI" construct -d "$CLU_DIR/net.csv" --seed 9 --policy basic -o "$CLU_DIR/index2.eppi" 2>/dev/null
+assert_index_file "$CLU_DIR/index1.eppi"
+assert_index_file "$CLU_DIR/index2.eppi"
 CLU_PEERS="$CLU_DIR/a.sock,$CLU_DIR/b.sock,$CLU_DIR/c.sock"
 for r in a b c; do
-  "$EPPI" serve -i "$CLU_DIR/index1.csv" --listen "$CLU_DIR/$r.sock" --shards 2 --domains 2 \
+  "$EPPI" serve -i "$CLU_DIR/index1.eppi" --listen "$CLU_DIR/$r.sock" --shards 2 --domains 2 \
     --peers "$CLU_PEERS" >"$CLU_DIR/$r.json" 2>"$CLU_DIR/$r.log" &
 done
 for r in a b c; do
@@ -180,7 +223,7 @@ for r in a b c; do
   while [ ! -S "$CLU_DIR/$r.sock" ] && [ "$i" -lt 50 ]; do sleep 0.1; i=$((i + 1)); done
   test -S "$CLU_DIR/$r.sock"
 done
-"$EPPI" republish --cluster "$CLU_PEERS" -i "$CLU_DIR/index2.csv" >"$CLU_DIR/repub1.txt"
+"$EPPI" republish --cluster "$CLU_PEERS" -i "$CLU_DIR/index2.eppi" >"$CLU_DIR/repub1.txt"
 grep -q "republished 3/3 replicas at generation 2" "$CLU_DIR/repub1.txt"
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$CLU_PEERS" >"$CLU_DIR/replies1.txt"
 test "$(wc -l < "$CLU_DIR/replies1.txt")" -eq 50
@@ -189,7 +232,7 @@ test "$(wc -l < "$CLU_DIR/replies1.txt")" -eq 50
 # transparently and the fan-out must report honest partial success.
 seq 0 49 | sed 's/^/--owner /' | xargs "$EPPI" query --connect "$CLU_PEERS" >"$CLU_DIR/replies2.txt"
 test "$(wc -l < "$CLU_DIR/replies2.txt")" -eq 50
-"$EPPI" republish --cluster "$CLU_PEERS" --require 2 -i "$CLU_DIR/index1.csv" >"$CLU_DIR/repub2.txt"
+"$EPPI" republish --cluster "$CLU_PEERS" --require 2 -i "$CLU_DIR/index1.eppi" >"$CLU_DIR/repub2.txt"
 grep -q "republished 2/3 replicas at generation 3" "$CLU_DIR/repub2.txt"
 "$EPPI" top --connect "$CLU_PEERS" --json >"$CLU_DIR/top.json"
 if command -v python3 >/dev/null 2>&1; then
@@ -278,8 +321,9 @@ FUZ_SOCK="$FUZ_DIR/eppi.sock"
 trap 'rm -rf "$FUZ_DIR"' EXIT
 "$EPPI" generate --owners 80 --providers 24 --seed 5 -o "$FUZ_DIR/net.csv" \
   --roster "$FUZ_DIR/roster.csv" >/dev/null
-"$EPPI" construct -d "$FUZ_DIR/net.csv" -o "$FUZ_DIR/index.csv" 2>/dev/null
-"$EPPI" serve -i "$FUZ_DIR/index.csv" --listen "$FUZ_SOCK" --shards 2 --domains 2 \
+"$EPPI" construct -d "$FUZ_DIR/net.csv" -o "$FUZ_DIR/index.eppi" 2>/dev/null
+assert_index_file "$FUZ_DIR/index.eppi"
+"$EPPI" serve -i "$FUZ_DIR/index.eppi" --listen "$FUZ_SOCK" --shards 2 --domains 2 \
   --roster "$FUZ_DIR/roster.csv" --linkage-seed 4242 \
   >"$FUZ_DIR/server.json" 2>"$FUZ_DIR/server.log" &
 FUZ_PID=$!

@@ -373,13 +373,22 @@ let qcheck_tests =
         Fixedpoint.output b (Fixedpoint.mul b fx fy ~width:24);
         Fixedpoint.output b (Fixedpoint.div b fx fy ~width:24);
         let out = Circuit.eval (B.finish b) ~inputs:[||] in
-        let sum = Fixedpoint.to_float (Array.sub out 0 25) ~frac_bits:12 in
-        let prod = Fixedpoint.to_float (Array.sub out 25 24) ~frac_bits:12 in
-        let quot = Fixedpoint.to_float (Array.sub out 49 24) ~frac_bits:12 in
-        (* mul/div saturate above the Q12.12 range; only check in-range results. *)
-        Float.abs (sum -. (x +. y)) < 0.01
-        && (x *. y >= 4095.0 || Float.abs (prod -. (x *. y)) < 0.05)
-        && (x /. y >= 4095.0 || Float.abs (quot -. (x /. y)) < 0.05));
+        let sum = Word.to_int (Array.sub out 0 25) in
+        let prod = Word.to_int (Array.sub out 25 24) in
+        let quot = Word.to_int (Array.sub out 49 24) in
+        (* The circuit computes on the quantized inputs, so the oracle is
+           the exact integer model of Q12.12 on those, not x and y: the
+           quantization error of a small divisor alone can move x/y past
+           any fixed tolerance.  mul/div results that leave the 24-bit
+           range are not checked. *)
+        let qx = Float.to_int (Float.round (x *. 4096.0)) in
+        let qy = Float.to_int (Float.round (y *. 4096.0)) in
+        let in_range v = v < 1 lsl 24 in
+        sum = qx + qy
+        && (let p = (qx * qy) lsr 12 in
+            (not (in_range p)) || prod = p)
+        && (let q = (qx lsl 12) / qy in
+            (not (in_range q)) || quot = q));
     Test.make ~name:"isqrt matches floor sqrt" ~count:200 (int_range 0 4095)
       (fun v ->
         let b = B.create () in
@@ -436,5 +445,5 @@ let () =
           Alcotest.test_case "double and ge" `Quick test_fp_double_ge;
           Alcotest.test_case "of_int_word" `Quick test_fp_of_int_word;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:1009 qcheck_tests);
     ]

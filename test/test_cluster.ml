@@ -199,6 +199,32 @@ let test_fanout_partial () =
       check_bool "dead replica spoils convergence" true
         (Fanout.converged (Fanout.status ~request_timeout:5.0 set) = None))
 
+(* A payload shipped as is (an index file's bytes) installs like an
+   encoded index; one the replicas' decoders reject fails fatally on the
+   first attempt, with the decoder's typed error, and installs nothing. *)
+let test_fanout_payload () =
+  let index1 = test_index ~n:20 ~m:9 in
+  let index2 = test_index_v2 ~n:25 ~m:9 in
+  with_daemons 2 index1 (fun daemons ->
+      let set = Replica_set.of_addrs (List.map (fun d -> d.d_addr) daemons) in
+      let push payload =
+        Fanout.republish_payload ~retries:2 ~retry_delay:0.01 ~request_timeout:5.0 ~seed:7 set
+          payload
+      in
+      let good = Eppi_net.Index_codec.encode index2 in
+      let report = push (String.sub good 0 (String.length good - 1)) in
+      check_int "corrupt payload: no success" 0 report.succeeded;
+      List.iter
+        (fun (r : Fanout.replica_result) ->
+          check_int "rejection is not retried" 1 r.attempts;
+          match r.outcome with
+          | Error msg -> check_bool "typed decoder error" true (contains msg "truncated input")
+          | Ok _ -> Alcotest.fail "corrupt payload installed")
+        report.results;
+      let report = push good in
+      check_int "good payload: all succeeded" 2 report.succeeded;
+      check_bool "generation 2 everywhere" true (report.generation = Some 2))
+
 (* Kill the replica carrying the traffic mid-run: the next window fails
    over transparently, every query still gets an answer, and the client
    records exactly what happened. *)
@@ -333,7 +359,10 @@ let () =
           Alcotest.test_case "convergence check" `Quick test_converged;
         ] );
       ( "fanout",
-        [ Alcotest.test_case "partial success and convergence" `Quick test_fanout_partial ]
+        [
+          Alcotest.test_case "partial success and convergence" `Quick test_fanout_partial;
+          Alcotest.test_case "payload shipped as is" `Quick test_fanout_payload;
+        ]
       );
       ( "client",
         [

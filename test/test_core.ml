@@ -971,5 +971,5 @@ let () =
           Alcotest.test_case "exact edges" `Quick test_analysis_exact_edges;
           Alcotest.test_case "expected values" `Quick test_analysis_expected_values;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:8928 qcheck_tests);
     ]

@@ -192,5 +192,5 @@ let () =
           Alcotest.test_case "common-identity vulnerability" `Quick
             test_grouping_common_identity_vulnerability;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:16847 qcheck_tests);
     ]

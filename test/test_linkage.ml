@@ -280,5 +280,5 @@ let () =
           Alcotest.test_case "to membership" `Quick test_to_membership;
           Alcotest.test_case "end to end with e-PPI" `Quick test_end_to_end_with_eppi;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:24766 qcheck_tests);
     ]

@@ -376,5 +376,5 @@ let () =
           Alcotest.test_case "monotone in circuit size" `Quick test_cost_monotone_in_circuit;
           Alcotest.test_case "network sensitivity" `Quick test_cost_network_sensitivity;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:32685 qcheck_tests);
     ]

@@ -562,6 +562,283 @@ let test_index_codec_mutation_fuzz () =
       [ 0x01; 0x80; 0xFF ]
   done
 
+(* Golden bytes: two fixed indexes and the exact encodings the
+   bit-at-a-time codec produced for them.  Codec version 1 is a wire and
+   on-disk format, so any encoder must keep reproducing these bytes.  The
+   small one covers empty rows, Rice rows at k = 5, 3, 2, 1 and 0 (one
+   with a 67-bit unary run), rows either side of the 3c = m bitmap
+   boundary, a full row and m = 99 (not a multiple of 64); the mixed one
+   sweeps row density from empty to full. *)
+let golden_small () =
+  let m = 99 in
+  let rows =
+    [|
+      [];
+      List.init 32 (fun i -> i * 3);
+      List.init 31 (fun i -> i) @ [ 98 ];
+      [ 98 ];
+      [ 0 ];
+      [ 3; 40; 41; 97 ];
+      List.init 10 (fun i -> (i * 9) + 4);
+      List.init 20 (fun i -> (i * 5) + 1);
+      List.init 33 (fun i -> i * 3);
+      List.init 33 (fun i -> 98 - (i * 3));
+      List.init 34 (fun i -> i * 2);
+      List.init m Fun.id;
+      [];
+    |]
+  in
+  let matrix = Bitmatrix.create ~rows:(Array.length rows) ~cols:m in
+  Array.iteri (fun j ps -> List.iter (fun p -> Bitmatrix.set matrix ~row:j ~col:p true) ps) rows;
+  Eppi.Index.of_matrix matrix
+
+let golden_mixed () =
+  let n = 48 and m = 150 in
+  let matrix = Bitmatrix.create ~rows:n ~cols:m in
+  let state = ref 12345 in
+  let next () =
+    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
+    !state lsr 8
+  in
+  for j = 0 to n - 1 do
+    let density = j * 100 / (n - 1) in
+    for p = 0 to m - 1 do
+      if next () mod 100 < density then Bitmatrix.set matrix ~row:j ~col:p true
+    done
+  done;
+  Eppi.Index.of_matrix matrix
+
+let golden_small_hex =
+  String.concat ""
+    [
+      "010d630020200101040a142121226300b66ddbb66ddbb66ddbb66d1b000000e0";
+      "ffffffffffffffff4e006604ee628c31c6186338333333333333333333499224";
+      "4992244992244992242149922449922449922449926455555555555555550100";
+      "0000feffffffffffffffffffffff0f";
+    ]
+
+let to_hex s =
+  String.concat "" (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (String.to_seq s)))
+
+let test_index_codec_golden () =
+  Alcotest.(check string) "small index bytes" golden_small_hex
+    (to_hex (Index_codec.encode (golden_small ())));
+  let mixed = Index_codec.encode (golden_mixed ()) in
+  check_int "mixed index length" 838 (String.length mixed);
+  Alcotest.(check string) "mixed index digest" "9f363a853d12b9c460c9890534ded716"
+    (Digest.to_hex (Digest.string mixed));
+  List.iter
+    (fun (name, index) ->
+      match Index_codec.decode (Index_codec.encode index) with
+      | Ok d -> check_bool (name ^ " round-trips") true (matrices_equal index d)
+      | Error e -> Alcotest.fail (Index_codec.error_to_string e))
+    [ ("small", golden_small ()); ("mixed", golden_mixed ()) ]
+
+(* The bit-at-a-time decoder the word-at-a-time one replaced, kept as the
+   reference: one [get_bit] per stream bit, every check in stream order. *)
+module Reference_decoder = struct
+  exception Fail of Index_codec.error
+
+  let ilog2 x =
+    let k = ref 0 and v = ref x in
+    while !v > 1 do
+      incr k;
+      v := !v lsr 1
+    done;
+    !k
+
+  let rice_k ~c ~m =
+    let mu_scaled = 693 * (m - c) / (1000 * (c + 1)) in
+    if mu_scaled <= 1 then 0
+    else
+      let k = ilog2 mu_scaled in
+      if 2 * mu_scaled > 3 * (1 lsl k) then k + 1 else k
+
+  let decode payload =
+    let pos = ref 0 in
+    let fail e = raise (Fail e) in
+    let uvarint what =
+      let u = ref 0 and shift = ref 0 and value = ref (-1) in
+      while !value < 0 do
+        if !pos >= String.length payload then fail (Truncated what);
+        if !shift > 56 then fail (Malformed (what ^ ": varint longer than 9 bytes"));
+        let byte = Char.code payload.[!pos] in
+        incr pos;
+        u := !u lor ((byte land 0x7F) lsl !shift);
+        shift := !shift + 7;
+        if byte land 0x80 = 0 then value := !u
+      done;
+      !value
+    in
+    try
+      if payload = "" then fail (Truncated "version byte");
+      if Char.code payload.[0] <> 1 then fail (Unsupported_version (Char.code payload.[0]));
+      pos := 1;
+      let n = uvarint "owner count" in
+      let m = uvarint "provider count" in
+      if n < 1 || n > 1 lsl 30 then fail (Malformed (Printf.sprintf "owner count %d" n));
+      if m < 1 || m > 1 lsl 30 then fail (Malformed (Printf.sprintf "provider count %d" m));
+      if n * m > 1 lsl 33 then
+        fail (Malformed (Printf.sprintf "matrix %dx%d exceeds %d cells" n m (1 lsl 33)));
+      if n > String.length payload - !pos then fail (Truncated "row counts");
+      let counts =
+        Array.init n (fun j ->
+            let cnt = uvarint (Printf.sprintf "count of row %d" j) in
+            if cnt > m then
+              fail (Malformed (Printf.sprintf "row %d count %d exceeds %d providers" j cnt m));
+            cnt)
+      in
+      let base = !pos and bitpos = ref 0 in
+      let get_bit what =
+        let byte = base + (!bitpos lsr 3) in
+        if byte >= String.length payload then fail (Truncated what);
+        let bit = (Char.code payload.[byte] lsr (!bitpos land 7)) land 1 in
+        incr bitpos;
+        bit = 1
+      in
+      let matrix = Bitmatrix.create ~rows:n ~cols:m in
+      for j = 0 to n - 1 do
+        let what = Printf.sprintf "row %d" j and c = counts.(j) in
+        if 3 * c >= m then begin
+          let set = ref 0 in
+          for p = 0 to m - 1 do
+            if get_bit what then begin
+              incr set;
+              Bitmatrix.set matrix ~row:j ~col:p true
+            end
+          done;
+          if !set <> c then
+            fail
+              (Malformed
+                 (Printf.sprintf "%s: bitmap population %d, declared count %d" what !set c))
+        end
+        else begin
+          let k = rice_k ~c ~m and prev = ref (-1) in
+          for _ = 1 to c do
+            let q = ref 0 in
+            while get_bit what do
+              incr q;
+              if !q lsl k > m then fail (Malformed (what ^ ": gap exceeds provider count"))
+            done;
+            let low = ref 0 in
+            for i = 0 to k - 1 do
+              if get_bit what then low := !low lor (1 lsl i)
+            done;
+            let p = !prev + 1 + ((!q lsl k) lor !low) in
+            if p >= m then fail (Malformed (Printf.sprintf "%s: provider %d >= %d" what p m));
+            prev := p;
+            Bitmatrix.set matrix ~row:j ~col:p true
+          done
+        end
+      done;
+      while !bitpos land 7 <> 0 do
+        if get_bit "final padding" then fail (Malformed "nonzero padding bits")
+      done;
+      let consumed = base + (!bitpos lsr 3) in
+      if consumed <> String.length payload then
+        fail (Malformed (Printf.sprintf "%d trailing bytes" (String.length payload - consumed)));
+      Ok matrix
+    with Fail e -> Error e
+end
+
+(* Same outcome: equal matrices, or the identical typed error. *)
+let agrees_with_reference payload =
+  match (Index_codec.decode payload, Reference_decoder.decode payload) with
+  | Ok index, Ok matrix -> Bitmatrix.equal (Eppi.Index.matrix index) matrix
+  | Error e, Error e' -> e = e'
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* Rice rows at k = 0 whose unary runs span several 64-bit words. *)
+let long_runs () =
+  let m = 400 in
+  let matrix = Bitmatrix.create ~rows:3 ~cols:m in
+  let set row cols = List.iter (fun p -> Bitmatrix.set matrix ~row ~col:p true) cols in
+  set 0 (List.init 132 Fun.id @ [ 399 ]);
+  set 1 (List.init 120 (fun i -> i + 2) @ [ 250; 398 ]);
+  Bitmatrix.set matrix ~row:2 ~col:0 true;
+  Eppi.Index.of_matrix matrix
+
+(* Every prefix and every single-bit flip of these payloads. *)
+let test_index_codec_reference_golden () =
+  List.iter
+    (fun index ->
+      let encoded = Index_codec.encode index in
+      check_bool "golden payload" true (agrees_with_reference encoded);
+      for len = 0 to String.length encoded - 1 do
+        check_bool (Printf.sprintf "prefix %d" len) true
+          (agrees_with_reference (String.sub encoded 0 len))
+      done;
+      String.iteri
+        (fun i ch ->
+          for bit = 0 to 7 do
+            let b = Bytes.of_string encoded in
+            Bytes.set b i (Char.chr (Char.code ch lxor (1 lsl bit)));
+            check_bool (Printf.sprintf "byte %d bit %d" i bit) true
+              (agrees_with_reference (Bytes.to_string b))
+          done)
+        encoded)
+    [ golden_small (); golden_mixed (); long_runs () ]
+
+(* ---------- Index file (the on-disk artifact) ---------- *)
+
+let index_file_contents index =
+  let path = Filename.temp_file "eppi-index-file" ".eppi" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let written = Out_channel.with_open_bin path (fun oc -> Index_file.write oc index) in
+      let contents = In_channel.with_open_bin path In_channel.input_all in
+      check_int "write reports the file size" (String.length contents) written;
+      (match Index_file.read path with
+      | Ok d -> check_bool "read round-trips" true (matrices_equal index d)
+      | Error e -> Alcotest.fail (Index_file.error_to_string e));
+      contents)
+
+let test_index_file_layout () =
+  let index = test_index ~n:20 ~m:9 in
+  let contents = index_file_contents index in
+  let payload = Index_codec.encode index in
+  Alcotest.(check string) "magic, then the codec payload unchanged"
+    (Index_file.magic ^ payload) contents;
+  (match Index_file.payload contents with
+  | Ok p -> Alcotest.(check string) "payload is the republish payload" payload p
+  | Error e -> Alcotest.fail (Index_file.error_to_string e));
+  match Index_file.decode contents with
+  | Ok d -> check_bool "decode" true (matrices_equal index d)
+  | Error e -> Alcotest.fail (Index_file.error_to_string e)
+
+let test_index_file_errors () =
+  let index = test_index ~n:20 ~m:9 in
+  let contents = Index_file.magic ^ Index_codec.encode index in
+  let expect name want input =
+    match Index_file.decode input with
+    | Error e when want e -> ()
+    | Error e -> Alcotest.fail (Printf.sprintf "%s: wrong error %s" name (Index_file.error_to_string e))
+    | Ok _ -> Alcotest.fail (name ^ ": must be rejected")
+    | exception e -> Alcotest.fail (Printf.sprintf "%s: raised %s" name (Printexc.to_string e))
+  in
+  expect "bad magic" (( = ) Index_file.Bad_magic) ("\x89EPPIDY\n" ^ Index_codec.encode index);
+  expect "dataset csv" (( = ) Index_file.Bad_magic) "owner,provider,epsilon\n0,1,0.5\n";
+  expect "csv index" (( = ) Index_file.Csv_index) (Eppi.Index.to_csv index);
+  let v2 = Bytes.of_string contents in
+  Bytes.set v2 (String.length Index_file.magic) '\x02';
+  expect "unsupported version"
+    (( = ) (Index_file.Codec (Index_codec.Unsupported_version 2)))
+    (Bytes.to_string v2);
+  for len = 0 to String.length contents - 1 do
+    expect
+      (Printf.sprintf "prefix of %d bytes" len)
+      (function Index_file.Codec (Index_codec.Truncated _) -> true | _ -> false)
+      (String.sub contents 0 len)
+  done;
+  (* The payload check stops at the version byte: a corrupt body passes
+     it, for the daemon's decoder to reject. *)
+  let corrupt = String.sub contents 0 (String.length contents - 1) in
+  check_bool "payload accepts a truncated body" true (Result.is_ok (Index_file.payload corrupt));
+  let csv_message = Index_file.error_to_string Index_file.Csv_index in
+  check_bool "csv error names eppi construct" true (contains csv_message "eppi construct");
+  check_bool "csv error names eppi export" true (contains csv_message "eppi export")
+
 (* ---------- Live daemon ---------- *)
 
 let sock_counter = ref 0
@@ -1528,6 +1805,27 @@ let qcheck_tests =
         match Index_codec.decode (Index_codec.encode index) with
         | Ok decoded -> matrices_equal index decoded
         | Error _ -> false);
+    Test.make ~name:"index codec decoder agrees with bit-by-bit reference" ~count:300
+      (make
+         Gen.(
+           quad (pair (int_range 1 24) (int_range 1 300)) (int_range 0 100) (int_range 0 10000)
+             (pair nat (int_range 1 255))))
+      (fun ((n, m), density, seed, (at, flip)) ->
+        (* Every density from empty to full, then the same payload with
+           one byte corrupted: valid or not, both decoders must reach the
+           same matrix or the same typed error. *)
+        let rng = Rng.create seed in
+        let matrix = Bitmatrix.create ~rows:n ~cols:m in
+        for j = 0 to n - 1 do
+          for p = 0 to m - 1 do
+            if Rng.int rng 100 < density then Bitmatrix.set matrix ~row:j ~col:p true
+          done
+        done;
+        let encoded = Index_codec.encode (Eppi.Index.of_matrix matrix) in
+        let mutated = Bytes.of_string encoded in
+        let i = at mod String.length encoded in
+        Bytes.set mutated i (Char.chr (Char.code encoded.[i] lxor flip));
+        agrees_with_reference encoded && agrees_with_reference (Bytes.to_string mutated));
     Test.make ~name:"index codec decode is total on junk" ~count:500
       (make Gen.(small_string ~gen:char))
       (fun junk ->
@@ -1559,6 +1857,14 @@ let () =
             test_index_codec_hostile_dims;
           Alcotest.test_case "single-byte mutations never crash" `Quick
             test_index_codec_mutation_fuzz;
+          Alcotest.test_case "golden bytes" `Quick test_index_codec_golden;
+          Alcotest.test_case "reference decoder agrees on golden prefixes" `Quick
+            test_index_codec_reference_golden;
+        ] );
+      ( "index file",
+        [
+          Alcotest.test_case "magic then codec payload" `Quick test_index_file_layout;
+          Alcotest.test_case "typed errors" `Quick test_index_file_errors;
         ] );
       ( "daemon",
         [
@@ -1616,5 +1922,5 @@ let () =
           Alcotest.test_case "connection lost after retries" `Quick
             test_client_connection_lost_when_gone_for_good;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:40604 qcheck_tests);
     ]

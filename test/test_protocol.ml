@@ -803,7 +803,7 @@ let () =
           Alcotest.test_case "superlinear time" `Quick test_purempc_time_scales_superlinearly;
           Alcotest.test_case "identity scaling" `Quick test_purempc_identity_scaling;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:56442 qcheck_tests);
       ( "construct",
         [
           Alcotest.test_case "agrees with centralized" `Quick

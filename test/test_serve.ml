@@ -714,5 +714,5 @@ let () =
           Alcotest.test_case "hot swap under concurrent run" `Quick
             test_engine_hot_swap_concurrent;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:72280 qcheck_tests);
     ]

@@ -369,5 +369,5 @@ let () =
           Alcotest.test_case "fault plan determinism" `Quick test_fault_plan_deterministic;
           Alcotest.test_case "fault plan validation" `Quick test_fault_plan_validation;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("properties", Qcheck_seed.to_alcotest ~seed:88118 qcheck_tests);
     ]
