@@ -140,13 +140,14 @@ let end_span ?(args = []) name =
         record b { kind = Span_end; name; ts; args = args @ gc_args }
   end
 
-let span ?args name f =
+let span ?(args = []) ?args_of name f =
   if not (Atomic.get enabled_flag) then f ()
   else begin
     begin_span name;
     match f () with
     | v ->
-        end_span ?args name;
+        let args = match args_of with None -> args | Some g -> args @ g v in
+        end_span ~args name;
         v
     | exception e ->
         end_span ~args:[ ("raised", 1) ] name;

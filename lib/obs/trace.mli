@@ -55,11 +55,18 @@ val disable : unit -> unit
 val reset : unit -> unit
 (** Stop recording and discard all buffers. *)
 
-val span : ?args:(string * int) list -> string -> (unit -> 'a) -> 'a
-(** [span name f] runs [f] inside a [name] span; [args] are attached to
-    the closing event along with the GC deltas.  If [f] raises, the span
-    is closed with a [raised] marker and the exception rethrown.  When
-    tracing is disabled this is one atomic load plus a call to [f]. *)
+val span :
+  ?args:(string * int) list ->
+  ?args_of:('a -> (string * int) list) ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** [span name f] runs [f] inside a [name] span; [args], then [args_of]
+    applied to [f]'s result (for arguments known only once [f] returns),
+    are attached to the closing event along with the GC deltas.  If [f]
+    raises, the span is closed with a [raised] marker and the exception
+    rethrown.  When tracing is disabled this is one atomic load plus a
+    call to [f]. *)
 
 val begin_span : string -> unit
 (** Open a span manually (no closure).  Must be balanced by {!end_span}

@@ -122,6 +122,31 @@ let test_span_gc_args () =
               check_bool "allocation attributed" true (List.assoc "minor_words" e.args > 0))
       | tracks -> Alcotest.failf "expected 1 track, got %d" (List.length tracks))
 
+let test_span_args_of_result () =
+  let calls = ref 0 in
+  let args_of n =
+    incr calls;
+    [ ("bytes", n) ]
+  in
+  check_int "value (disabled)" 7 (Trace.span "w" ~args_of (fun () -> 7));
+  check_int "args_of not run when disabled" 0 !calls;
+  with_session (fun () ->
+      check_int "value (enabled)" 7 (Trace.span "w" ~args:[ ("items", 3) ] ~args_of (fun () -> 7));
+      (match Trace.span "w" ~args_of (fun () -> failwith "boom") with
+      | _ -> Alcotest.fail "expected failure"
+      | exception Failure _ -> ());
+      check_int "args_of run once, on the result" 1 !calls;
+      match Trace.tracks () with
+      | [ tr ] -> (
+          match List.filter (fun (e : Trace.event) -> e.kind = Trace.Span_end) tr.track_events with
+          | [ ok; raised ] ->
+              check_int "args kept" 3 (List.assoc "items" ok.args);
+              check_int "arg from result" 7 (List.assoc "bytes" ok.args);
+              check_bool "raising span marked" true (List.mem_assoc "raised" raised.args);
+              check_bool "no result arg on raise" false (List.mem_assoc "bytes" raised.args)
+          | ends -> Alcotest.failf "expected 2 span ends, got %d" (List.length ends))
+      | tracks -> Alcotest.failf "expected 1 track, got %d" (List.length tracks))
+
 let test_unbalanced_end_dropped () =
   with_session (fun () ->
       Trace.end_span "never-opened";
@@ -284,6 +309,7 @@ let () =
           Alcotest.test_case "session restart discards" `Quick test_session_restart_discards;
           Alcotest.test_case "nested spans pair up" `Quick test_nested_spans_pair_up;
           Alcotest.test_case "span carries GC deltas" `Quick test_span_gc_args;
+          Alcotest.test_case "span args from result" `Quick test_span_args_of_result;
           Alcotest.test_case "unbalanced end dropped" `Quick test_unbalanced_end_dropped;
           Alcotest.test_case "one track per domain" `Quick test_domains_get_own_tracks;
           Alcotest.test_case "ring buffer bounds" `Quick test_ring_buffer_bounds;
