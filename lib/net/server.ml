@@ -30,8 +30,8 @@ type t = {
   config : config;
   telemetry : Telemetry.t;
   (* (id, queue_depth, busy_ns, served) per worker domain; installed by
-     [start_workers] so the stats/telemetry paths (which run before the
-     workers type is even defined) can read the pool without a cycle. *)
+     [run] so the stats/telemetry paths (which run before the worker type
+     is even defined) can read the pool without a cycle. *)
   mutable worker_info : unit -> (int * int * int * int) list;
 }
 
@@ -183,25 +183,31 @@ let listen address =
      raise e);
   fd
 
-(* ---- worker domains ----
+(* ---- engine domains ----
 
-   The mux never calls the engine when [workers > 1]; it assigns each
-   request a per-connection sequence number and hands it to a worker
-   domain.  Shard-affine requests (Query, Audit) go to worker
+   Two kinds of domain call the engine off the I/O loop.
+
+   The install lane is one domain that runs every Republish and
+   Republish_binary, for any worker count: it decodes the payload,
+   compiles the postings and installs them with the engine's CAS.  One
+   lane serializes installs in arrival order, and the mux never stops
+   answering while an index is built — other connections keep being
+   served from the old generation until the CAS lands.
+
+   With [workers > 1] the mux also stops calling the engine for reads; it
+   assigns each request a per-connection sequence number and hands it to
+   a worker domain.  Shard-affine requests (Query, Audit) go to worker
    [shard mod workers], which preserves the engine's
    single-writer-per-shard contract: shard state is only ever touched
-   from the one domain that owns it.  Republish decodes and installs on
-   a worker too — the engine's generation slot is atomic, so any domain
-   may CAS it — keeping index parsing off the I/O loop.  Batch frames
-   split into one part per owning worker; the last part to finish
-   assembles the reply.
+   from the one domain that owns it.  Batch frames split into one part
+   per owning worker; the last part to finish assembles the reply.
 
-   Workers push finished, pre-encoded response frames onto a lock-free
-   Treiber stack and write one byte down a self-pipe so [select] wakes.
-   The mux drains the stack, slots each frame into its connection's
-   reorder buffer, and flushes in sequence order — so the wire keeps the
-   strict one-response-per-request-in-order contract no matter how the
-   domains interleave. *)
+   Workers and the lane push finished, pre-encoded response frames onto
+   the daemon's lock-free Treiber stack and write one byte down a
+   self-pipe so [select] wakes.  The mux drains the stack, slots each
+   frame into its connection's reorder buffer, and flushes in sequence
+   order — so the wire keeps the strict one-response-per-request-in-order
+   contract no matter how the domains interleave. *)
 
 type batch_acc = {
   b_conn : int;
@@ -230,12 +236,19 @@ type job =
 type completion = {
   c_conn : int;
   c_seq : int;
-  frame : string;  (* the whole response frame, encoded on the worker *)
+  frame : string;  (* the whole response frame, encoded off the mux *)
   c_record : Telemetry.record option;
 }
 
+(* Where engine domains hand finished frames back to the mux. *)
+type completions = {
+  stack : completion list Atomic.t;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+}
+
 type worker = {
-  w_id : int;
+  w_id : int;  (* -1 for the install lane *)
   inbox : job Queue.t;  (* guarded by [w_lock] *)
   w_lock : Mutex.t;
   w_ready : Condition.t;
@@ -245,14 +258,17 @@ type worker = {
   w_busy_ns : int Atomic.t;
 }
 
-type workers = {
-  pool : worker array;
-  completions : completion list Atomic.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  mutable domains : unit Domain.t array;
-  mutable rr : int;  (* round-robin cursor for shardless jobs (mux only) *)
-}
+let make_worker w_id w_track =
+  {
+    w_id;
+    inbox = Queue.create ();
+    w_lock = Mutex.create ();
+    w_ready = Condition.create ();
+    w_depth = Atomic.make 0;
+    w_track;
+    w_served = Atomic.make 0;
+    w_busy_ns = Atomic.make 0;
+  }
 
 let enqueue w job =
   Mutex.lock w.w_lock;
@@ -271,13 +287,23 @@ let rec wake fd =
       (* Pipe full: a wakeup is already pending, which is all we need. *)
       ()
 
-let push_completion ws comp =
+let open_completions () =
+  let wake_r, wake_w = Unix.pipe () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  { stack = Atomic.make []; wake_r; wake_w }
+
+let close_completions cs =
+  (try Unix.close cs.wake_r with Unix.Unix_error _ -> ());
+  try Unix.close cs.wake_w with Unix.Unix_error _ -> ()
+
+let push_completion cs comp =
   let rec push () =
-    let old = Atomic.get ws.completions in
-    if not (Atomic.compare_and_set ws.completions old (comp :: old)) then push ()
+    let old = Atomic.get cs.stack in
+    if not (Atomic.compare_and_set cs.stack old (comp :: old)) then push ()
   in
   push ();
-  wake ws.wake_w
+  wake cs.wake_w
 
 let encode_frame response =
   let b = Buffer.create 128 in
@@ -308,7 +334,16 @@ let worker_failed w e =
   if Trace.enabled () then Trace.instant "net.worker_error" ~args:[ ("worker", w.w_id) ];
   msg
 
-let worker_loop t ws w =
+(* The lane's step before each install: finish the current major GC
+   cycle, so the generation the previous install retired is swept before
+   the next one is built.  Without it three postings generations can be
+   live at the peak.  One cycle, not [Gc.full_major]: the extra cycles
+   reclaim a little more but stall the other domains for longer. *)
+let reclaim () = Trace.span "net.reclaim" Gc.major
+
+(* [before_job] runs at the start of each [Job]'s execute stage, behind
+   the same exception barrier. *)
+let worker_loop t cs ~before_job w =
   let running = ref true in
   while !running do
     Mutex.lock w.w_lock;
@@ -324,12 +359,14 @@ let worker_loop t ws w =
         let t0 = Clock.monotonic_ns () in
         (match j_record with Some r -> r.Telemetry.t_started <- t0 | None -> ());
         let frame =
-          try encode_frame (handle ~trace_id t request)
+          try
+            before_job ();
+            encode_frame (handle ~trace_id t request)
           with e -> encode_frame (Wire.Server_error (worker_failed w e))
         in
         let t1 = Clock.monotonic_ns () in
         (match j_record with Some r -> r.Telemetry.t_done <- t1 | None -> ());
-        push_completion ws { c_conn = conn_id; c_seq = seq; frame; c_record = j_record };
+        push_completion cs { c_conn = conn_id; c_seq = seq; frame; c_record = j_record };
         Atomic.incr w.w_served;
         ignore (Atomic.fetch_and_add w.w_busy_ns (t1 - t0))
     | Part { acc; positions; owners } ->
@@ -366,7 +403,7 @@ let worker_loop t ws w =
               r.Telemetry.t_started <- Atomic.get acc.b_started;
               r.Telemetry.t_done <- Clock.monotonic_ns ()
           | None -> ());
-          push_completion ws
+          push_completion cs
             {
               c_conn = acc.b_conn;
               c_seq = acc.b_seq;
@@ -385,60 +422,22 @@ let worker_loop t ws w =
     worker_counters w
   done
 
-let start_workers t n =
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
-  let pool =
-    Array.init n (fun i ->
-        {
-          w_id = i;
-          inbox = Queue.create ();
-          w_lock = Mutex.create ();
-          w_ready = Condition.create ();
-          w_depth = Atomic.make 0;
-          w_track = Printf.sprintf "net.worker-%d" i;
-          w_served = Atomic.make 0;
-          w_busy_ns = Atomic.make 0;
-        })
-  in
-  let ws = { pool; completions = Atomic.make []; wake_r; wake_w; domains = [||]; rr = 0 } in
-  ws.domains <- Array.map (fun w -> Domain.spawn (fun () -> worker_loop t ws w)) pool;
-  t.worker_info <-
-    (fun () ->
-      Array.to_list
-        (Array.map
-           (fun w ->
-             (w.w_id, Atomic.get w.w_depth, Atomic.get w.w_busy_ns, Atomic.get w.w_served))
-           pool));
-  ws
-
-let stop_workers ws =
-  Array.iter (fun w -> enqueue w Stop) ws.pool;
-  Array.iter Domain.join ws.domains;
-  (try Unix.close ws.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close ws.wake_w with Unix.Unix_error _ -> ()
-
 (* Mirror the engine's owner → shard mapping (owner mod shards, folded
    into range for negative ids), then pin shard i to worker i mod d. *)
-let worker_for_owner engine ws owner =
+let worker_for_owner engine pool owner =
   let shards = Serve.shards engine in
   let shard = owner mod shards in
   let shard = if shard < 0 then shard + shards else shard in
-  ws.pool.(shard mod Array.length ws.pool)
-
-let next_round_robin ws =
-  let w = ws.pool.(ws.rr mod Array.length ws.pool) in
-  ws.rr <- ws.rr + 1;
-  w
+  pool.(shard mod Array.length pool)
 
 (* ---- the select loop ---- *)
 
 type conn = {
   fd : Unix.file_descr;
   decoder : Wire.Decoder.t;
-  out : Buffer.t;
+  mutable out : Bytes.t;  (* [out_off, out_len) is queued for the socket *)
   mutable out_off : int;
+  mutable out_len : int;
   mutable last_activity : float;
   mutable closing : bool;  (* no more reads; close once the buffer drains *)
   id : int;
@@ -455,8 +454,29 @@ type conn = {
          grows. *)
 }
 
-let pending c = Buffer.length c.out - c.out_off
+let pending c = c.out_len - c.out_off
 let inflight c = c.next_seq - c.next_flush
+
+(* Queue [frame] behind the pending bytes.  When the tail is full the
+   pending slice moves to the front (doubling the buffer only if it
+   still does not fit), so each byte is copied O(1) times on average no
+   matter how long a slow reader lets the backlog grow. *)
+let append_out c frame =
+  let len = String.length frame in
+  if c.out_len + len > Bytes.length c.out then begin
+    let live = pending c in
+    let cap = ref (Bytes.length c.out) in
+    while live + len > !cap do
+      cap := 2 * !cap
+    done;
+    let out = if !cap = Bytes.length c.out then c.out else Bytes.create !cap in
+    Bytes.blit c.out c.out_off out 0 live;
+    c.out <- out;
+    c.out_off <- 0;
+    c.out_len <- live
+  end;
+  Bytes.blit_string frame 0 c.out c.out_len len;
+  c.out_len <- c.out_len + len
 
 let instant_conn name c =
   if Trace.enabled () then Trace.instant name ~args:[ ("conn", c.id) ]
@@ -464,9 +484,46 @@ let instant_conn name c =
 let run t listener =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Unix.set_nonblock listener;
-  let ws = if t.config.workers > 1 then Some (start_workers t t.config.workers) else None in
+  let cs = open_completions () in
   let conns = ref [] in
   let conn_tbl : (int, conn) Hashtbl.t = Hashtbl.create 64 in
+  let engine_domains = ref [] in
+  let spawn ~before_job w =
+    let d = Domain.spawn (fun () -> worker_loop t cs ~before_job w) in
+    engine_domains := (w, d) :: !engine_domains
+  in
+  (* Every exit, exceptions included: close the clients, then stop and
+     join the engine domains (an install in flight finishes first), and
+     only then close the pipe they wake the mux through. *)
+  let shut_down () =
+    List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
+    conns := [];
+    Hashtbl.reset conn_tbl;
+    List.iter (fun (w, _) -> enqueue w Stop) !engine_domains;
+    List.iter (fun (_, d) -> Domain.join d) !engine_domains;
+    close_completions cs;
+    try Unix.close listener with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally:shut_down @@ fun () ->
+  let lane = make_worker (-1) "net.install" in
+  spawn ~before_job:reclaim lane;
+  let pool =
+    if t.config.workers = 1 then None
+    else begin
+      let pool =
+        Array.init t.config.workers (fun i -> make_worker i (Printf.sprintf "net.worker-%d" i))
+      in
+      Array.iter (spawn ~before_job:ignore) pool;
+      t.worker_info <-
+        (fun () ->
+          Array.to_list
+            (Array.map
+               (fun w ->
+                 (w.w_id, Atomic.get w.w_depth, Atomic.get w.w_busy_ns, Atomic.get w.w_served))
+               pool));
+      Some pool
+    end
+  in
   let next_id = ref 0 in
   let shutting = ref false in
   let readbuf = Bytes.create 65536 in
@@ -477,7 +534,7 @@ let run t listener =
     conns := List.filter (fun c' -> c'.id <> c.id) !conns
   in
   (* Append every frame whose turn has come.  Frames complete out of
-     order across workers; the wire stays in request order.  Appending
+     order across domains; the wire stays in request order.  Appending
      closes a record's reorder-dwell stage and opens its flush stage. *)
   let flush_replies c =
     let continue = ref true in
@@ -488,7 +545,7 @@ let run t listener =
       | Some (frame, record) ->
           Hashtbl.remove c.replies c.next_flush;
           c.next_flush <- c.next_flush + 1;
-          Buffer.add_string c.out frame;
+          append_out c frame;
           c.appended <- c.appended + String.length frame;
           (match record with
           | Some r ->
@@ -502,11 +559,12 @@ let run t listener =
     Hashtbl.replace c.replies seq (frame, record);
     flush_replies c
   in
-  (* Route one decoded request.  Inline (workers = 1): call the engine
-     here, exactly the pre-multicore daemon.  Otherwise dispatch to the
-     worker that owns the request's shard.  [t_read]/[t_decoded] bound the
-     decode stage (0 when telemetry is off); a [Traced] envelope is peeled
-     here so routing sees the inner request and the record keeps the id. *)
+  (* Route one decoded request.  A republish goes to the install lane.
+     Otherwise, inline (workers = 1): call the engine here.  With a pool,
+     dispatch to the worker that owns the request's shard.
+     [t_read]/[t_decoded] bound the decode stage (0 when telemetry is
+     off); a [Traced] envelope is peeled here so routing sees the inner
+     request and the record keeps the id. *)
   let route c request ~t_read ~t_decoded =
     let seq = c.next_seq in
     c.next_seq <- seq + 1;
@@ -520,9 +578,11 @@ let run t listener =
         Some (Telemetry.make ~kind:(request_code request) ~trace_id ~t_read ~t_decoded)
       else None
     in
-    (* A request the mux answers itself: dispatch and queue-wait collapse
-       to zero, execute covers the handler plus the frame encode. *)
-    let inline response =
+    (* A request the mux answers itself: queue-wait collapses to zero,
+       the handler's time lands in dispatch and execute covers the frame
+       encode. *)
+    let inline () =
+      let response = handle ~trace_id t request in
       (match record with
       | Some r ->
           let now = Clock.monotonic_ns () in
@@ -539,87 +599,75 @@ let run t listener =
       | Some r -> r.Telemetry.t_dispatched <- Clock.monotonic_ns ()
       | None -> ()
     in
-    match ws with
-    | None -> inline (handle ~trace_id t request)
-    | Some ws -> (
-        match request with
-        | Wire.Query { owner } ->
-            dispatched ();
-            enqueue (worker_for_owner t.engine ws owner)
-              (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
-        | Wire.Query_fuzzy { probe; _ } ->
-            (* Fuzzy metrics/admission land on Serve.fuzzy_shard's shard;
-               route to that shard's worker so the single-writer contract
-               holds for fuzzy exactly as for exact queries. *)
-            let shard = Serve.fuzzy_shard t.engine probe in
-            dispatched ();
-            enqueue ws.pool.(shard mod Array.length ws.pool)
-              (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
-        | Wire.Audit _ ->
-            (* Audit walks every shard's postings but records its metrics
-               on shard 0, so it must run on shard 0's worker. *)
-            dispatched ();
-            enqueue ws.pool.(0) (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
-        | Wire.Republish _ | Wire.Republish_binary _ ->
-            (* Decode + install off the mux.  Stall this connection until
-               the swap lands so a pipelined query behind it cannot answer
-               from the old generation after the republish reply. *)
-            c.stall_seq <- seq;
-            dispatched ();
-            enqueue (next_round_robin ws)
-              (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
-        | Wire.Batch owners when Array.length owners > 0 ->
-            let nworkers = Array.length ws.pool in
-            let counts = Array.make nworkers 0 in
-            Array.iter
-              (fun owner ->
-                let w = worker_for_owner t.engine ws owner in
-                counts.(w.w_id) <- counts.(w.w_id) + 1)
-              owners;
-            let parts = Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 counts in
-            let acc =
-              {
-                b_conn = c.id;
-                b_seq = seq;
-                b_replies = Array.make (Array.length owners) Serve.Unknown_owner;
-                b_generation = Atomic.make 0;
-                b_remaining = Atomic.make parts;
-                b_error = Atomic.make None;
-                b_trace = trace_id;
-                b_record = record;
-                b_started = Atomic.make 0;
-              }
-            in
-            let positions = Array.map (fun n -> Array.make (max n 1) 0) counts in
-            let part_owners = Array.map (fun n -> Array.make (max n 1) 0) counts in
-            let fill = Array.make nworkers 0 in
-            Array.iteri
-              (fun position owner ->
-                let w = (worker_for_owner t.engine ws owner).w_id in
-                positions.(w).(fill.(w)) <- position;
-                part_owners.(w).(fill.(w)) <- owner;
-                fill.(w) <- fill.(w) + 1)
-              owners;
-            dispatched ();
-            Array.iteri
-              (fun w n ->
-                if n > 0 then
-                  enqueue ws.pool.(w)
-                    (Part { acc; positions = positions.(w); owners = part_owners.(w) }))
-              counts
-        | Wire.Batch _ ->
-            inline (Wire.Batch_reply { generation = Serve.generation t.engine; replies = [||] })
-        | Wire.Stats ->
-            (* Reads only merged metrics and atomics — safe from the mux. *)
-            inline (Wire.Stats_json (stats_json t))
-        | Wire.Telemetry ->
-            (* The store's single writer is this domain, so the read is
-               consistent by construction. *)
-            inline (Wire.Telemetry_json (telemetry_json t))
-        | Wire.Cluster_status -> inline (cluster_status t)
-        | Wire.Ping -> inline Wire.Pong
-        | Wire.Shutdown -> inline Wire.Shutting_down
-        | Wire.Traced _ -> assert false (* peeled above; envelopes never nest *))
+    let dispatch w =
+      dispatched ();
+      enqueue w (Job { conn_id = c.id; seq; request; trace_id; j_record = record })
+    in
+    match (request, pool) with
+    | (Wire.Republish _ | Wire.Republish_binary _), _ ->
+        (* Stall this connection until the swap lands, so a request
+           pipelined behind it cannot answer from the old generation
+           after the republish reply. *)
+        c.stall_seq <- seq;
+        dispatch lane
+    | Wire.Query { owner }, Some pool -> dispatch (worker_for_owner t.engine pool owner)
+    | Wire.Query_fuzzy { probe; _ }, Some pool ->
+        (* Fuzzy metrics/admission land on Serve.fuzzy_shard's shard;
+           route to that shard's worker so the single-writer contract
+           holds for fuzzy exactly as for exact queries. *)
+        dispatch pool.(Serve.fuzzy_shard t.engine probe mod Array.length pool)
+    | Wire.Audit _, Some pool ->
+        (* Audit walks every shard's postings but records its metrics
+           on shard 0, so it must run on shard 0's worker. *)
+        dispatch pool.(0)
+    | Wire.Batch owners, Some pool when Array.length owners > 0 ->
+        let nworkers = Array.length pool in
+        let counts = Array.make nworkers 0 in
+        Array.iter
+          (fun owner ->
+            let w = worker_for_owner t.engine pool owner in
+            counts.(w.w_id) <- counts.(w.w_id) + 1)
+          owners;
+        let parts = Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 counts in
+        let acc =
+          {
+            b_conn = c.id;
+            b_seq = seq;
+            b_replies = Array.make (Array.length owners) Serve.Unknown_owner;
+            b_generation = Atomic.make 0;
+            b_remaining = Atomic.make parts;
+            b_error = Atomic.make None;
+            b_trace = trace_id;
+            b_record = record;
+            b_started = Atomic.make 0;
+          }
+        in
+        let positions = Array.map (fun n -> Array.make (max n 1) 0) counts in
+        let part_owners = Array.map (fun n -> Array.make (max n 1) 0) counts in
+        let fill = Array.make nworkers 0 in
+        Array.iteri
+          (fun position owner ->
+            let w = (worker_for_owner t.engine pool owner).w_id in
+            positions.(w).(fill.(w)) <- position;
+            part_owners.(w).(fill.(w)) <- owner;
+            fill.(w) <- fill.(w) + 1)
+          owners;
+        dispatched ();
+        Array.iteri
+          (fun w n ->
+            if n > 0 then
+              enqueue pool.(w) (Part { acc; positions = positions.(w); owners = part_owners.(w) }))
+          counts
+    | ( ( Wire.Batch _ | Wire.Stats | Wire.Telemetry | Wire.Cluster_status | Wire.Ping
+        | Wire.Shutdown ),
+        Some _ )
+    | _, None ->
+        (* Without a pool the mux is the only domain that reads the
+           engine.  With one, these read only the published generation,
+           merged metrics, atomics and static config, and the telemetry
+           store's single writer is this domain — all safe from the mux. *)
+        inline ()
+    | Wire.Traced _, Some _ -> assert false (* peeled above; envelopes never nest *)
   in
   let respond_error c msg =
     let seq = c.next_seq in
@@ -659,8 +707,7 @@ let run t listener =
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> close_conn c
   in
   let write_to c =
-    let bytes = Buffer.to_bytes c.out in
-    match Unix.write c.fd bytes c.out_off (Bytes.length bytes - c.out_off) with
+    match Unix.write c.fd c.out c.out_off (pending c) with
     | n ->
         c.out_off <- c.out_off + n;
         c.written <- c.written + n;
@@ -679,16 +726,16 @@ let run t listener =
             else continue := false
           done
         end;
-        if c.out_off = Bytes.length bytes then begin
-          Buffer.clear c.out;
+        if pending c = 0 then begin
           c.out_off <- 0;
+          c.out_len <- 0;
           if c.closing && inflight c = 0 then close_conn c
         end
     | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
     | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> close_conn c
   in
-  let process_completions ws =
-    match Atomic.exchange ws.completions [] with
+  let process_completions () =
+    match Atomic.exchange cs.stack [] with
     | [] -> ()
     | batch ->
         List.iter
@@ -709,10 +756,10 @@ let run t listener =
                 then drain c)
           batch
   in
-  let drain_wake_pipe ws =
+  let drain_wake_pipe () =
     let continue = ref true in
     while !continue do
-      match Unix.read ws.wake_r readbuf 0 (Bytes.length readbuf) with
+      match Unix.read cs.wake_r readbuf 0 (Bytes.length readbuf) with
       | 0 -> continue := false
       | _ -> ()
       | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> continue := false
@@ -728,8 +775,9 @@ let run t listener =
           {
             fd;
             decoder = Wire.Decoder.create ~max_payload:t.config.max_payload ();
-            out = Buffer.create 1024;
+            out = Bytes.create 1024;
             out_off = 0;
+            out_len = 0;
             last_activity = Clock.seconds ();
             closing = false;
             id = !next_id;
@@ -768,20 +816,18 @@ let run t listener =
     let accepting = (not !shutting) && List.length !conns < t.config.max_connections in
     let reads =
       (if accepting then [ listener ] else [])
-      @ (match ws with Some ws -> [ ws.wake_r ] | None -> [])
-      @ List.filter_map
-          (fun c -> if (not c.closing) && (not !shutting) && not (stalled c) then Some c.fd else None)
-          !conns
+      @ (cs.wake_r
+        :: List.filter_map
+             (fun c ->
+               if (not c.closing) && (not !shutting) && not (stalled c) then Some c.fd else None)
+             !conns)
     in
     let writes = List.filter_map (fun c -> if pending c > 0 then Some c.fd else None) !conns in
     (match Unix.select reads writes [] 0.5 with
     | exception Unix.Unix_error (EINTR, _, _) -> ()
     | readable, writable, _ ->
-        (match ws with
-        | Some ws ->
-            if List.memq ws.wake_r readable then drain_wake_pipe ws;
-            process_completions ws
-        | None -> ());
+        if List.memq cs.wake_r readable then drain_wake_pipe ();
+        process_completions ();
         List.iter
           (fun c -> if List.memq c.fd writable then write_to c)
           !conns;
@@ -798,12 +844,7 @@ let run t listener =
             !conns
         end);
     mux_counters ()
-  done;
-  List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
-  conns := [];
-  Hashtbl.reset conn_tbl;
-  (match ws with Some ws -> stop_workers ws | None -> ());
-  try Unix.close listener with Unix.Unix_error _ -> ()
+  done
 
 let serve t address =
   let listener = listen address in

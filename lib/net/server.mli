@@ -1,20 +1,26 @@
 (** The locator daemon: a persistent RPC front-end over {!Eppi_serve.Serve}.
 
-    One [Unix.select] loop owns the listening socket and every client
-    connection.  With [workers = 1] it is also the sole engine caller —
-    the pre-multicore daemon, no extra domains.  With [workers = d > 1]
-    the loop becomes a pure I/O mux: it decodes frames, stamps each
-    request with a per-connection sequence number, and routes it to one
-    of [d] worker domains.  Shard-affine requests (Query, Audit) are
-    pinned to worker [shard mod d], so every shard keeps exactly one
-    writing domain and {!Eppi_serve.Serve.query}'s
-    single-writer-per-shard contract holds without locks.  Batch frames
-    split into per-worker parts served in parallel; Republish — CSV or
-    the compact {!Index_codec} form — decodes and installs on a worker,
-    off the I/O loop.  Workers return pre-encoded response frames over a
-    lock-free queue with a self-pipe wakeup, and the mux flushes them in
-    sequence order, preserving the wire contract of exactly one response
-    per request, in request order, per connection.
+    One [Unix.select] loop (the mux) owns the listening socket and every
+    client connection.  Beside it runs one {e install lane}: a dedicated
+    domain that executes every [Republish]/[Republish_binary] — decode
+    (CSV or the compact {!Index_codec} form), postings compile, and the
+    engine's CAS install ({!Eppi_serve.Serve.republish}) — one at a time,
+    in arrival order.  The mux never stops answering for an install, for
+    any worker count.
+
+    With [workers = 1] the mux is the only domain that answers reads: it
+    calls the engine inline.  With [workers = d > 1] the loop becomes a
+    pure I/O mux: it decodes frames, stamps each request with a
+    per-connection sequence number, and routes it to one of [d] worker
+    domains.  Shard-affine requests (Query, Audit) are pinned to worker
+    [shard mod d], so every shard keeps exactly one writing domain and
+    {!Eppi_serve.Serve.query}'s single-writer-per-shard contract holds
+    without locks.  Batch frames split into per-worker parts served in
+    parallel.  Workers and the lane return pre-encoded response frames
+    over the daemon's lock-free completion stack with a self-pipe wakeup,
+    and the mux flushes them in sequence order, preserving the wire
+    contract of exactly one response per request, in request order, per
+    connection.
 
     Flow control and hygiene:
     - a connection whose write buffer exceeds [max_pending_bytes] stops
@@ -26,20 +32,27 @@
       [Server_error] and closes after flushing, other clients are
       untouched;
     - a [Republish]/[Republish_binary] frame hot-swaps the engine's index
-      generation ({!Eppi_serve.Serve.republish_index}) — queries keep
-      flowing, no drain, caches invalidate per shard.  Requests pipelined
-      {e behind} a republish on the same connection wait for the swap, so
-      a reply that follows a [Republished {generation}] on the wire never
-      carries an older generation;
-    - a [Shutdown] frame stops accepting, flushes every pending reply,
-      closes all connections, joins the worker domains and returns from
-      {!run}.
+      generation on the install lane ({!Eppi_serve.Serve.republish_index})
+      — every other connection keeps being answered from the old
+      generation, no drain, caches invalidate per shard.  Before each
+      install the lane finishes the current major GC cycle, so the
+      generation the previous install retired is reclaimed before the
+      next one is built.  Requests pipelined {e behind} a republish on
+      the same connection wait for the swap, so a reply that follows a
+      [Republished {generation}] on the wire never carries an older
+      generation;
+    - a [Shutdown] frame stops accepting, flushes every pending reply
+      (an install in flight answers first), closes all connections, joins
+      the lane and the worker domains and returns from {!run}.
 
     With tracing enabled ({!Eppi_obs.Trace}), every request is a
-    [net.request] span tagged with its frame kind, accepted/closed
+    [net.request] span tagged with its frame kind, recorded on the
+    domain that executed it (a republish's, with its
+    [serve.postings_compile] span, on the lane's track), accepted/closed
     connections are instant events, each worker domain samples a
-    [net.worker-<i>] counter track (queue depth, busy µs, requests
-    served), and the mux samples [net.mux] stalled-connection counts.
+    [net.worker-<i>] counter track and the lane a [net.install] track
+    (queue depth, busy µs, requests served), and the mux samples
+    [net.mux] stalled-connection counts.
     A request that arrived in a [Traced] envelope carries the client's
     trace id on its server-side spans, so both processes' tracks join in
     one exported trace.
@@ -61,8 +74,9 @@ type config = {
       (** Per-connection write-buffer bound before backpressure. *)
   workers : int;
       (** Engine-calling domains. 1 = serve inline on the I/O loop (no
-          domains spawned); d > 1 = mux + d worker domains with shard i
-          pinned to worker i mod d. *)
+          worker domains spawned); d > 1 = mux + d worker domains with
+          shard i pinned to worker i mod d.  The install lane runs
+          either way. *)
   max_inflight : int;
       (** Per-connection bound on routed-but-unanswered requests before
           the mux stops reading that connection. *)
@@ -106,8 +120,9 @@ val listen : Addr.t -> Unix.file_descr
 
 val run : t -> Unix.file_descr -> unit
 (** Serve until a [Shutdown] frame arrives, then flush and return.  Closes
-    the listener and every connection, and joins any worker domains; does
-    not unlink socket files. *)
+    the listener and every connection, and joins the install lane and any
+    worker domains — on every exit, exceptions included; does not unlink
+    socket files. *)
 
 val serve : t -> Addr.t -> unit
 (** {!listen} + {!run}, unlinking a Unix-socket path on the way out (also
@@ -115,6 +130,7 @@ val serve : t -> Addr.t -> unit
 
 val run_stdio : t -> unit
 (** The [--stdio] transport: frames on stdin, responses on stdout, until
-    EOF or a [Shutdown] frame.  Always inline (single-domain), regardless
-    of [workers] — for inetd-style supervision and tests without socket
-    plumbing. *)
+    EOF or a [Shutdown] frame.  Always inline (single-domain, republish
+    included), regardless of [workers] — one blocking transport has
+    nothing to overlap.  For inetd-style supervision and tests without
+    socket plumbing. *)

@@ -78,7 +78,11 @@ let of_postings ?(config = default_config) ?resolver postings =
       (match config.admission with Some a -> a.queue_capacity | None -> max_int);
   }
 
-let create ?config ?resolver index = of_postings ?config ?resolver (Postings.of_index index)
+(* The one place the engine compiles an index, so daemon start-up and
+   every republish show the compile as its own span. *)
+let compile index = Trace.span "serve.postings_compile" (fun () -> Postings.of_index index)
+
+let create ?config ?resolver index = of_postings ?config ?resolver (compile index)
 let postings t = (Atomic.get t.published).store
 let generation t = (Atomic.get t.published).generation
 let resolver t = (Atomic.get t.published).resolver
@@ -98,7 +102,7 @@ let republish ?resolver t store =
   in
   install ()
 
-let republish_index ?resolver t index = republish ?resolver t (Postings.of_index index)
+let republish_index ?resolver t index = republish ?resolver t (compile index)
 
 let shard_of t owner =
   let n = Array.length t.shard_states in

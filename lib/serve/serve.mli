@@ -46,10 +46,11 @@ type reply =
 type t
 
 val create : ?config:config -> ?resolver:Eppi_fuzzy.Resolver.t -> Eppi.Index.t -> t
-(** Compile the index into the read-optimized store and set up shard
-    state.  [resolver], when given, enables {!query_fuzzy} against the
-    roster it was built from.  @raise Invalid_argument on a non-positive
-    shard count, negative capacities or a non-positive sample interval. *)
+(** Compile the index into the read-optimized store (traced as a
+    [serve.postings_compile] span) and set up shard state.  [resolver],
+    when given, enables {!query_fuzzy} against the roster it was built
+    from.  @raise Invalid_argument on a non-positive shard count,
+    negative capacities or a non-positive sample interval. *)
 
 val of_postings : ?config:config -> ?resolver:Eppi_fuzzy.Resolver.t -> Postings.t -> t
 (** Reuse an already-compiled store (e.g. shared across engines). *)
@@ -78,7 +79,8 @@ val republish : ?resolver:Eppi_fuzzy.Resolver.t -> t -> Postings.t -> int
     {!query}/{!run}/{!replay} execute. *)
 
 val republish_index : ?resolver:Eppi_fuzzy.Resolver.t -> t -> Eppi.Index.t -> int
-(** {!republish} after compiling the index ({!Postings.of_index}). *)
+(** {!republish} after compiling the index ({!Postings.of_index}, traced
+    as a [serve.postings_compile] span on the calling domain). *)
 
 val query : ?now:float -> t -> owner:int -> reply
 (** Serve one request.  [now] (seconds, default {!Clock.seconds}) drives the

@@ -1070,14 +1070,14 @@ let test_daemon_republish_binary () =
           check_int "failed republish keeps generation" 2 (Serve.generation engine)))
 
 (* Requests pipelined behind a republish on one connection must answer
-   from the new generation: the mux stalls the connection until the swap
-   lands, so the wire never shows [Republished {g}] followed by a reply
-   from a generation < g. *)
-let test_multicore_republish_ordering () =
+   from the new generation: the mux stalls the connection until the
+   install lane's swap lands, so the wire never shows [Republished {g}]
+   followed by a reply from a generation < g. *)
+let daemon_republish_ordering ~workers () =
   let n = 20 and m = 9 in
   let index1 = test_index ~n ~m in
   let index2 = test_index_v2 ~n ~m in
-  with_server ~shards:4 ~workers:4 index1 (fun addr _engine ->
+  with_server ~shards:4 ~workers index1 (fun addr _engine ->
       let c = Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Client.close c)
@@ -1123,6 +1123,209 @@ let test_multicore_republish_ordering () =
           | responses ->
               Alcotest.fail
                 (Printf.sprintf "unexpected response shape (%d frames)" (List.length responses))))
+
+(* ---------- Install lane ---------- *)
+
+(* A bare client socket, so a test can send frames now and read their
+   replies later (or never read, as a slow client would). *)
+let raw_connect addr =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Addr.sockaddr addr);
+  fd
+
+let raw_write fd requests =
+  let b = Buffer.create 256 in
+  List.iter (Wire.encode_request b) requests;
+  let bytes = Buffer.to_bytes b in
+  let rec send off =
+    if off < Bytes.length bytes then send (off + Unix.write fd bytes off (Bytes.length bytes - off))
+  in
+  send 0
+
+let raw_responses ?(decoder = Wire.Decoder.create ()) fd count =
+  let buf = Bytes.create 65536 in
+  let rec next acc =
+    if List.length acc = count then List.rev acc
+    else
+      match Wire.Decoder.next decoder with
+      | Ok (Some (Wire.Response response)) -> next (response :: acc)
+      | Ok (Some (Wire.Request _)) -> Alcotest.fail "request frame from the daemon"
+      | Error e -> Alcotest.fail (Wire.error_to_string e)
+      | Ok None -> (
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 -> Alcotest.fail "daemon closed the connection before replying"
+          | len ->
+              Wire.Decoder.feed decoder buf ~off:0 ~len;
+              next acc)
+  in
+  next []
+
+let check_served c index ~generation ~owner =
+  let g, reply = Client.query c ~owner in
+  check_int (Printf.sprintf "owner %d generation" owner) generation g;
+  check_bool
+    (Printf.sprintf "owner %d reply" owner)
+    true
+    (reply = Serve.Providers (Eppi.Index.query index ~owner))
+
+(* A payload the lane cannot decode answers [Server_error] without moving
+   the generation, and neither the republishing connection nor another
+   one stops answering. *)
+let test_lane_corrupt_republish () =
+  let index = test_index ~n:20 ~m:9 in
+  let encoded = Index_codec.encode (test_index_v2 ~n:20 ~m:9) in
+  with_server ~workers:1 index (fun addr engine ->
+      let c1 = Client.connect addr and c2 = Client.connect addr in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close c1;
+          Client.close c2)
+        (fun () ->
+          List.iter
+            (fun data ->
+              (match Client.call c1 (Wire.Republish_binary { data }) with
+              | Wire.Server_error msg ->
+                  check_bool "error names republish" true (contains msg "republish")
+              | other -> Client.unexpected "corrupt binary republish" other);
+              check_int "generation unchanged" 1 (Serve.generation engine);
+              check_served c1 index ~generation:1 ~owner:3;
+              check_served c2 index ~generation:1 ~owner:4)
+            [ "garbage bytes"; String.sub encoded 0 (String.length encoded / 2) ]))
+
+(* Installs are serialized on the lane: two connections republishing at
+   once each get their own generation, and both land. *)
+let test_lane_concurrent_republishes () =
+  let index = test_index ~n:20 ~m:9 in
+  let next = [| test_index_v2 ~n:20 ~m:9; test_index ~n:25 ~m:9 |] in
+  with_server ~workers:1 index (fun addr engine ->
+      let republish i =
+        let c = Client.connect addr in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () -> Client.republish_index c next.(i))
+      in
+      let others = Domain.spawn (fun () -> republish 1) in
+      let mine = republish 0 in
+      let theirs = Domain.join others in
+      match (mine, theirs) with
+      | Ok a, Ok b ->
+          check_bool "distinct generations" true (a <> b);
+          check_int "generations 2 and 3" 5 (a + b);
+          check_int "final generation" 3 (Serve.generation engine);
+          let c = Client.connect addr in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              let last = if a = 3 then next.(0) else next.(1) in
+              check_served c last ~generation:3 ~owner:7)
+      | Error e, _ | _, Error e -> Alcotest.fail e)
+
+(* A [Shutdown] from another connection while an install is dispatched:
+   the republishing connection still gets its reply, and [Server.run]
+   returns with the lane joined ([with_server] joins the daemon; the test
+   harness's timeout bounds it). *)
+let test_lane_shutdown_during_install () =
+  let index1 = test_index ~n:20 ~m:9 in
+  let index2 = test_index_v2 ~n:6000 ~m:200 in
+  let data = Index_codec.encode index2 in
+  (* One read takes the whole frame, so once the mux has answered a
+     later connection's ping it has dispatched the install. *)
+  check_bool "payload fits one read" true (String.length data + Wire.header_bytes < 65536);
+  with_server ~workers:1 index1 (fun addr engine ->
+      let fd = raw_connect addr in
+      raw_write fd [ Wire.Republish_binary { data } ];
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let c = Client.connect addr in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              Client.ping c;
+              Client.shutdown c);
+          (match raw_responses fd 1 with
+          | [ Wire.Republished { generation } ] -> check_int "republish reply" 2 generation
+          | other -> Client.unexpected "republish during shutdown" (List.hd other));
+          check_int "install landed" 2 (Serve.generation engine)))
+
+(* The install runs off the mux: in a traced inline daemon, the
+   republish's [net.request] span (tag 8) and its postings compile are
+   recorded on a domain other than the one that answered the query. *)
+let test_lane_trace_track () =
+  let index1 = test_index ~n:20 ~m:9 in
+  let index2 = test_index_v2 ~n:25 ~m:9 in
+  Eppi_obs.Trace.enable ();
+  Fun.protect
+    ~finally:(fun () -> Eppi_obs.Trace.reset ())
+    (fun () ->
+      with_server ~workers:1 index1 (fun addr _engine ->
+          let c = Client.connect addr in
+          Fun.protect
+            ~finally:(fun () -> Client.close c)
+            (fun () ->
+              ignore (Client.query c ~owner:3);
+              match Client.republish_index c index2 with
+              | Ok generation -> check_int "republished" 2 generation
+              | Error e -> Alcotest.fail e));
+      Eppi_obs.Trace.disable ();
+      let tracks = Eppi_obs.Trace.tracks () in
+      let has_end (tr : Eppi_obs.Trace.track) name pred =
+        List.exists
+          (fun (e : Eppi_obs.Trace.event) ->
+            e.kind = Eppi_obs.Trace.Span_end && e.name = name && pred e.args)
+          tr.track_events
+      in
+      let tagged tag args = List.assoc_opt "tag" args = Some tag in
+      let domains_with name pred =
+        List.filter_map
+          (fun (tr : Eppi_obs.Trace.track) ->
+            if has_end tr name pred then Some tr.track_domain else None)
+          tracks
+      in
+      let mux = domains_with "net.request" (tagged 1) in
+      let lane = domains_with "net.request" (tagged 8) in
+      check_int "one mux track answered the query" 1 (List.length mux);
+      check_int "one track ran the install" 1 (List.length lane);
+      check_bool "install off the mux's domain" true (lane <> mux);
+      check_bool "postings compile on the install's track" true
+        (List.mem (List.hd lane) (domains_with "serve.postings_compile" (fun _ -> true))))
+
+(* A client that pipelines faster than it reads leaves the daemon a reply
+   backlog far beyond the socket buffer, which the daemon keeps appending
+   to while its partial writes drain the front; every reply must still
+   arrive intact and in order. *)
+let test_daemon_reply_backlog () =
+  let n = 2000 and m = 9 in
+  let index = test_index ~n ~m in
+  let audit provider =
+    List.filter
+      (fun owner -> List.mem provider (Eppi.Index.query index ~owner))
+      (List.init n Fun.id)
+  in
+  let expected = Array.init m audit in
+  with_server ~workers:1 index (fun addr _engine ->
+      let fd = raw_connect addr in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let chunks = 4 and per_chunk = 500 in
+          let decoder = Wire.Decoder.create () in
+          let buf = Bytes.create 4096 in
+          for k = 0 to chunks - 1 do
+            raw_write fd
+              (List.init per_chunk (fun i ->
+                   Wire.Audit { provider = ((k * per_chunk) + i) mod m }));
+            (* Read a little, so the daemon's writes advance mid-backlog. *)
+            let len = Unix.read fd buf 0 (Bytes.length buf) in
+            Wire.Decoder.feed decoder buf ~off:0 ~len
+          done;
+          List.iteri
+            (fun i response ->
+              match response with
+              | Wire.Audit_reply { generation = 1; owners = Some owners } ->
+                  check_bool (Printf.sprintf "audit %d" i) true (owners = expected.(i mod m))
+              | other -> Client.unexpected "backlogged audit" other)
+            (raw_responses ~decoder fd (chunks * per_chunk))))
 
 (* The acceptance test from the issue: queries keep flowing while the index
    hot-swaps underneath them; every reply must match the generation it is
@@ -1882,6 +2085,7 @@ let () =
           Alcotest.test_case "trace-driven replay" `Quick test_daemon_replay;
           Alcotest.test_case "replay loads jsonl" `Quick test_replay_load_jsonl;
           Alcotest.test_case "clean shutdown" `Quick test_daemon_shutdown;
+          Alcotest.test_case "reply backlog behind a slow reader" `Quick test_daemon_reply_backlog;
           Alcotest.test_case "listen hygiene" `Quick test_listen_stale_and_occupied;
         ] );
       ( "multicore daemon",
@@ -1896,13 +2100,25 @@ let () =
             (daemon_pipeline_past_inflight_cap ~workers:4);
           Alcotest.test_case "binary republish" `Quick test_daemon_republish_binary;
           Alcotest.test_case "pipelined republish ordering" `Quick
-            test_multicore_republish_ordering;
+            (daemon_republish_ordering ~workers:4);
           Alcotest.test_case "hot swap under concurrent load (4 domains, binary)" `Quick
             (daemon_hot_swap_under_load ~workers:4 ~binary:true);
           Alcotest.test_case "fuzzy lookups end-to-end (4 domains)" `Quick
             (daemon_fuzzy ~shards:4 ~workers:4);
           Alcotest.test_case "fuzzy hot swap stays generation-consistent" `Quick
             test_daemon_fuzzy_hot_swap;
+        ] );
+      ( "install lane",
+        [
+          Alcotest.test_case "query behind a republish, inline" `Quick
+            (daemon_republish_ordering ~workers:1);
+          Alcotest.test_case "query behind a republish, 2 domains" `Quick
+            (daemon_republish_ordering ~workers:2);
+          Alcotest.test_case "corrupt payload keeps serving" `Quick test_lane_corrupt_republish;
+          Alcotest.test_case "concurrent republishes serialize" `Quick
+            test_lane_concurrent_republishes;
+          Alcotest.test_case "shutdown during an install" `Quick test_lane_shutdown_during_install;
+          Alcotest.test_case "install traced off the mux" `Quick test_lane_trace_track;
         ] );
       ( "telemetry",
         [
