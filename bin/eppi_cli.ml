@@ -236,9 +236,10 @@ let construct_cmd =
       & info [ "drop" ] ~docv:"RATE"
           ~doc:
             "Secure path only: per-message drop probability injected on every simulated \
-             link.  A nonzero rate engages the fault-tolerant construction \
-             (reliability sublayer + failure detector); the output stays bit-identical \
-             to the fault-free run.  See docs/ROBUSTNESS.md.")
+             link.  A nonzero rate runs both protocol stages on the reliable transport \
+             (acks, retransmission, failure detector); a run that completes writes the \
+             same index file as $(b,--secure) alone at the same seed.  See \
+             docs/ROBUSTNESS.md.")
   in
   let crash_arg =
     Arg.(
@@ -260,55 +261,53 @@ let construct_cmd =
     end;
     with_trace trace @@ fun () ->
     let index =
-      if secure && faulty then begin
-        let open Eppi_simnet in
+      if secure then begin
         let plan =
-          {
-            Simnet.no_faults with
-            fault_seed = seed;
-            default_link = { Simnet.perfect_link with drop };
-            crashes;
-          }
+          if not faulty then None
+          else
+            Some
+              {
+                Eppi_simnet.Simnet.no_faults with
+                fault_seed = seed;
+                default_link = { Eppi_simnet.Simnet.perfect_link with drop };
+                crashes;
+              }
         in
+        let size = if domains <= 0 then None else Some domains in
         match
-          Eppi_protocol.Construct.run_ft ~sss_plan:plan ~mpc_plan:plan ~c rng
-            ~membership:dataset.membership ~epsilons:dataset.epsilons ~policy
+          Eppi_prelude.Pool.with_pool ?size (fun pool ->
+              Eppi_protocol.Construct.run_ft ?sss_plan:plan ?mpc_plan:plan ~pool ~c rng
+                ~membership:dataset.membership ~epsilons:dataset.epsilons ~policy)
         with
         | Failed (reason, rep) ->
             Printf.eprintf "construction failed after %d attempts: %s\n" rep.attempts reason;
             exit 1
         | (Complete (r, rep) | Degraded (r, rep)) as outcome ->
-            let verdict =
-              match outcome with
-              | Eppi_protocol.Construct.Degraded _ -> "degraded"
-              | _ -> "complete"
-            in
-            Printf.eprintf
-              "secure construction (%s): %d/%d providers, %d attempts, %d+%d \
-               retransmissions, %d duplicates suppressed, lambda=%.4f\n"
-              verdict
-              (List.length rep.survivors)
-              (Eppi_prelude.Bitmatrix.cols dataset.membership)
-              rep.attempts rep.sss_retransmissions rep.mpc_retransmissions rep.duplicates
-              r.lambda;
-            if rep.excluded <> [] then
-              Printf.eprintf "excluded dead providers: %s\n"
-                (String.concat ", " (List.map string_of_int rep.excluded));
+            if faulty then begin
+              let verdict =
+                match outcome with
+                | Eppi_protocol.Construct.Degraded _ -> "degraded"
+                | _ -> "complete"
+              in
+              Printf.eprintf
+                "secure construction (%s): %d/%d providers, %d attempts, %d+%d \
+                 retransmissions, %d duplicates suppressed, lambda=%.4f\n"
+                verdict
+                (List.length rep.survivors)
+                (Eppi_prelude.Bitmatrix.cols dataset.membership)
+                rep.attempts rep.sss_retransmissions rep.mpc_retransmissions rep.duplicates
+                r.lambda;
+              if rep.excluded <> [] then
+                Printf.eprintf "excluded dead providers: %s\n"
+                  (String.concat ", " (List.map string_of_int rep.excluded))
+            end
+            else
+              Printf.eprintf
+                "secure construction: %.4fs simulated (secsumshare %.4fs + mpc %.4fs), %d \
+                 messages, %d bytes, circuit %d gates, lambda=%.4f\n"
+                r.metrics.total_time r.metrics.secsumshare_time r.metrics.mpc_time
+                r.metrics.messages r.metrics.bytes r.metrics.circuit_stats.size r.lambda;
             r.index
-      end
-      else if secure then begin
-        let size = if domains <= 0 then None else Some domains in
-        let r =
-          Eppi_prelude.Pool.with_pool ?size (fun pool ->
-              Eppi_protocol.Construct.run ~pool ~c rng ~membership:dataset.membership
-                ~epsilons:dataset.epsilons ~policy)
-        in
-        Printf.eprintf
-          "secure construction: %.4fs simulated (secsumshare %.4fs + mpc %.4fs), %d \
-           messages, %d bytes, circuit %d gates, lambda=%.4f\n"
-          r.metrics.total_time r.metrics.secsumshare_time r.metrics.mpc_time
-          r.metrics.messages r.metrics.bytes r.metrics.circuit_stats.size r.lambda;
-        r.index
       end
       else begin
         let r =

@@ -1,5 +1,6 @@
 open Eppi_prelude
 module Simnet = Eppi_simnet.Simnet
+module Transport = Eppi_simnet.Transport
 module Circuit = Eppi_circuit.Circuit
 module Cost = Eppi_mpc.Cost
 module Gmw = Eppi_mpc.Gmw
@@ -32,10 +33,10 @@ let modulus_for m = Modarith.modulus (Modarith.next_prime (m + 1))
 let publication_cost ~n = 2e-8 *. float_of_int n
 
 (* Release phase (public computation at a designated coordinator) followed
-   by local randomized publication.  Shared by [run] and [run_ft]; the rng
-   draw order here is load-bearing for bit-identical replays. *)
+   by local randomized publication.  The rng draw order here is
+   load-bearing for bit-identical replays. *)
 let release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~membership ~m
-    ~(cb : Countbelow.result) =
+    ~(cb : Countbelow.result) ~metrics =
   let n = Bitmatrix.rows membership in
   Trace.begin_span "phase.mixing";
   let xi =
@@ -69,90 +70,7 @@ let release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~mem
   let published = Eppi.Publish.publish_matrix rng_publish ~betas membership in
   let index = Eppi.Index.of_matrix published in
   Trace.end_span "phase.publish" ~args:[ ("owners", n); ("providers", m) ];
-  (index, betas, mixed, lambda, xi)
-
-let run ?config ?reliability ?network ?transport ?pool ?strategy ?(c = 3)
-    ?(mixing = Eppi.Mixing.Bernoulli) rng ~membership ~epsilons ~policy =
-  let n = Bitmatrix.rows membership in
-  let m = Bitmatrix.cols membership in
-  if Array.length epsilons <> n then invalid_arg "Protocol.Construct.run: epsilons length mismatch";
-  let q = modulus_for m in
-  (* Each phase draws from its own child stream: how many draws one phase
-     makes (which varies with the CountBelow strategy and circuit shapes)
-     can never perturb the next phase, so the construction output is
-     bit-identical across strategies and domain counts. *)
-  let rng_sss = Rng.split rng in
-  let rng_mpc = Rng.split rng in
-  let rng_release = Rng.split rng in
-  let rng_publish = Rng.split rng in
-  let the_pool = match pool with Some p -> p | None -> Pool.sequential in
-  (* Per-domain pool accounting across the MPC stage: a zero sample opens
-     each worker's counter track, the closing sample carries the busy
-     delta — one counter track per pool domain in the exported trace. *)
-  let pool_before =
-    if Trace.enabled () then begin
-      let b = Pool.stats the_pool in
-      Array.iteri
-        (fun i _ ->
-          Trace.counter (Printf.sprintf "pool/worker-%d" i) [ ("busy_us", 0); ("jobs", 0) ])
-        b;
-      Some b
-    end
-    else None
-  in
-  Trace.begin_span "phase.beta";
-  (* Providers' private inputs: their own membership column, one bit per
-     identity. *)
-  let inputs =
-    Array.init m (fun i ->
-        Array.init n (fun j -> if Bitmatrix.get membership ~row:j ~col:i then 1 else 0))
-  in
-  let sss = Secsumshare.run ?config ?reliability rng_sss ~inputs ~c ~q in
-  let thresholds =
-    Array.map (fun epsilon -> Countbelow.integer_threshold ~policy ~epsilon ~m) epsilons
-  in
-  let cb =
-    Countbelow.run ?network ?transport ~pool:the_pool ?strategy rng_mpc
-      ~shares:sss.coordinator_shares ~q ~thresholds
-  in
-  Trace.end_span "phase.beta"
-    ~args:
-      [
-        ("messages", sss.net.messages_sent + cb.comm.messages);
-        ("bytes", sss.net.bytes_sent + cb.comm.bytes);
-        ("sim_us", int_of_float ((sss.net.completion_time +. cb.time) *. 1e6));
-      ];
-  (match pool_before with
-  | None -> ()
-  | Some before ->
-      let after = Pool.stats the_pool in
-      Array.iteri
-        (fun i (b : Pool.worker_stat) ->
-          let a = after.(i) in
-          Trace.counter (Printf.sprintf "pool/worker-%d" i)
-            [ ("busy_us", (a.busy_ns - b.busy_ns) / 1000); ("jobs", a.jobs - b.jobs) ])
-        before);
-  let index, betas, mixed, lambda, xi =
-    release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons ~membership ~m
-      ~cb
-  in
-  let publication_time = publication_cost ~n in
-  let sss_messages_bytes = (sss.net.messages_sent, sss.net.bytes_sent) in
-  let metrics =
-    {
-      secsumshare_time = sss.net.completion_time;
-      mpc_time = cb.time;
-      publication_time;
-      total_time = sss.net.completion_time +. cb.time +. publication_time;
-      messages = fst sss_messages_bytes + cb.comm.messages;
-      bytes = snd sss_messages_bytes + cb.comm.bytes;
-      circuit_stats = cb.circuit_stats;
-      mpc_comm = cb.comm;
-    }
-  in
   { index; betas; common = cb.common; mixed; lambda; xi; metrics }
-
-(* ---------- fault-tolerant construction ---------- *)
 
 type fault_report = {
   excluded : int list;
@@ -195,6 +113,15 @@ let remap_plan (plan : Simnet.fault_plan) ~survivors ~nodes =
     slow = List.filter_map (fun (p, f) -> Option.map (fun p -> (p, f)) (map p)) plan.Simnet.slow;
   }
 
+(* A stage under a fault plan runs on the reliable transport, with the
+   plan projected onto the attempt's survivors. *)
+let reliable plan reliability ~survivors ~nodes =
+  {
+    Transport.bare with
+    plan = Some (remap_plan plan ~survivors ~nodes);
+    reliability = Some reliability;
+  }
+
 (* Survivor-column view of the membership matrix. *)
 let submatrix membership survivors =
   let n = Bitmatrix.rows membership in
@@ -207,22 +134,41 @@ let submatrix membership survivors =
     survivors;
   sub
 
-let run_ft ?config ?sss_plan ?mpc_plan ?reliability ?mpc_reliability ?deadline
-    ?(max_attempts = 3) ?network ?pool ?strategy ?(c = 3)
-    ?(mixing = Eppi.Mixing.Bernoulli) rng ~membership ~epsilons ~policy =
+(* Per-domain pool accounting across the construction: a zero sample opens
+   each worker's counter track, the closing sample carries the busy delta —
+   one counter track per pool domain in the exported trace. *)
+let with_pool_counters pool f =
+  if not (Trace.enabled ()) then f ()
+  else begin
+    let before = Pool.stats pool in
+    let sample i busy_us jobs =
+      Trace.counter (Printf.sprintf "pool/worker-%d" i) [ ("busy_us", busy_us); ("jobs", jobs) ]
+    in
+    Array.iteri (fun i _ -> sample i 0 0) before;
+    let r = f () in
+    Array.iteri
+      (fun i (a : Pool.worker_stat) ->
+        let b = before.(i) in
+        sample i ((a.busy_ns - b.busy_ns) / 1000) (a.jobs - b.jobs))
+      (Pool.stats pool);
+    r
+  end
+
+let run_ft ?sss_plan ?mpc_plan ?(max_attempts = 3) ?network ?transport ?pool ?strategy
+    ?(c = 3) ?(mixing = Eppi.Mixing.Bernoulli) rng ~membership ~epsilons ~policy =
   let n = Bitmatrix.rows membership in
   let m = Bitmatrix.cols membership in
   if Array.length epsilons <> n then
-    invalid_arg "Protocol.Construct.run_ft: epsilons length mismatch";
+    invalid_arg "Protocol.Construct.run: epsilons length mismatch";
   let the_pool = match pool with Some p -> p | None -> Pool.sequential in
   let sss_retrans = ref 0 in
   let mpc_retrans = ref 0 in
   let duplicates = ref 0 in
   let retried_rounds = ref 0 in
-  let all = List.init m Fun.id in
+  let alive = Array.make m true in
   let report ~survivors ~attempts =
     {
-      excluded = List.filter (fun p -> not (List.mem p survivors)) all;
+      excluded = List.filter (fun p -> not alive.(p)) (List.init m Fun.id);
       survivors;
       attempts;
       sss_retransmissions = !sss_retrans;
@@ -243,100 +189,101 @@ let run_ft ?config ?sss_plan ?mpc_plan ?reliability ?mpc_reliability ?deadline
           report ~survivors ~attempts:(k - 1) )
     else begin
       Trace.begin_span "construct.attempt";
-      (* Fresh child streams per attempt: a retry is a brand-new protocol
-         run over the survivor set, deterministic in (rng, attempt number). *)
-      let arng = Rng.split rng in
+      (* Each phase draws from its own child stream: how many draws one
+         phase makes (which varies with the CountBelow strategy, circuit
+         shapes and transport) can never perturb the next, so the output is
+         bit-identical across strategies, domain counts and lossy runs that
+         complete.  The first attempt splits the seed's streams directly; a
+         retry is a brand-new protocol run over the survivor set, on a
+         fresh child stream. *)
+      let arng = if k = 1 then rng else Rng.split rng in
       let rng_sss = Rng.split arng in
       let rng_mpc = Rng.split arng in
       let rng_release = Rng.split arng in
       let rng_publish = Rng.split arng in
       let q = modulus_for m' in
-      let sub = submatrix membership survivors in
+      let sub = if m' = m then membership else submatrix membership survivors in
+      Trace.begin_span "phase.beta";
+      (* Providers' private inputs: their own membership column, one bit per
+         identity. *)
       let inputs =
         Array.init m' (fun i ->
             Array.init n (fun j -> if Bitmatrix.get sub ~row:j ~col:i then 1 else 0))
       in
-      Trace.begin_span "phase.beta";
-      let sss_plan' = Option.map (remap_plan ~survivors ~nodes:m') sss_plan in
-      let sss = Secsumshare.run_ft ?config ?plan:sss_plan' ?reliability ?deadline rng_sss ~inputs ~c ~q in
+      let sss_transport =
+        Option.map
+          (fun p -> reliable p Secsumshare.default_reliability ~survivors ~nodes:m')
+          sss_plan
+      in
+      let sss = Secsumshare.run_ft ?transport:sss_transport rng_sss ~inputs ~c ~q in
       sss_retrans := !sss_retrans + sss.report.retransmissions;
       duplicates := !duplicates + sss.report.duplicates;
-      let finish_attempt exclude =
-        Trace.end_span "phase.beta" ~args:[ ("excluded", List.length exclude) ];
+      let stop excluded =
+        Trace.end_span "phase.beta" ~args:[ ("excluded", excluded) ];
         Trace.end_span "construct.attempt"
-          ~args:[ ("attempt", k); ("providers", m'); ("excluded", List.length exclude) ];
-        (* Suspects are attempt-local node ids; translate back. *)
-        let orig = Array.of_list survivors in
-        let excluded = List.map (fun i -> orig.(i)) exclude in
-        attempt (k + 1) (List.filter (fun p -> not (List.mem p excluded)) survivors)
+          ~args:[ ("attempt", k); ("providers", m'); ("excluded", excluded) ]
+      in
+      (* A stalled stage excludes the providers its failure detector
+         blamed (attempt-local node ids, translated back) and retries. *)
+      let retry stage blamed =
+        stop (List.length blamed);
+        if blamed = [] then
+          Failed (stage ^ " stalled with no identified culprit", report ~survivors ~attempts:k)
+        else begin
+          let orig = Array.of_list survivors in
+          List.iter (fun i -> alive.(orig.(i)) <- false) blamed;
+          attempt (k + 1) (List.filter (fun p -> alive.(p)) survivors)
+        end
       in
       match sss.shares with
-      | None when sss.report.suspects = [] ->
-          Trace.end_span "phase.beta" ~args:[ ("excluded", 0) ];
-          Trace.end_span "construct.attempt" ~args:[ ("attempt", k); ("providers", m') ];
-          Failed
-            ("SecSumShare stalled with no identified culprit", report ~survivors ~attempts:k)
-      | None -> finish_attempt sss.report.suspects
-      | Some shares -> begin
+      | None -> retry "SecSumShare" sss.report.suspects
+      | Some shares -> (
           let thresholds =
             Array.map
               (fun epsilon -> Countbelow.integer_threshold ~policy ~epsilon ~m:m')
               epsilons
           in
-          let cb_outcome =
+          let transport =
             match mpc_plan with
-            | None ->
-                (* No coordinator faults requested: the in-process engine is
-                   exact and parallelizes on the pool. *)
-                `Done
-                  ( Countbelow.run ?network ~pool:the_pool ?strategy rng_mpc ~shares ~q
-                      ~thresholds,
-                    0 )
-            | Some plan ->
-                let plan' = remap_plan plan ~survivors ~nodes:c in
-                let r =
-                  Countbelow.run_reliable ?config ~plan:plan' ?reliability:mpc_reliability
-                    rng_mpc ~shares ~q ~thresholds
-                in
-                mpc_retrans := !mpc_retrans + r.retransmissions;
-                duplicates := !duplicates + r.duplicates;
-                retried_rounds := !retried_rounds + r.retried_rounds;
-                (match r.outcome with
-                | `Done cb -> `Done (cb, r.retransmissions)
-                | `Coordinators_failed dead -> `Dead dead)
+            | None -> transport
+            | Some p -> Some (`Simnet (reliable p Mpcnet.default_reliability ~survivors ~nodes:c))
           in
-          match cb_outcome with
-          | `Dead [] ->
-              Trace.end_span "phase.beta" ~args:[ ("excluded", 0) ];
-              Trace.end_span "construct.attempt" ~args:[ ("attempt", k); ("providers", m') ];
-              Failed ("CountBelow stalled with no identified culprit", report ~survivors ~attempts:k)
-          | `Dead dead -> finish_attempt dead
-          | `Done (cb, _) ->
+          let cb =
+            Countbelow.run_ft ?network ?transport ~pool:the_pool ?strategy rng_mpc ~shares ~q
+              ~thresholds
+          in
+          mpc_retrans := !mpc_retrans + cb.retransmissions;
+          duplicates := !duplicates + cb.duplicates;
+          retried_rounds := !retried_rounds + cb.retried_rounds;
+          match cb.outcome with
+          | `Coordinators_failed dead -> retry "CountBelow" dead
+          | `Done cb ->
+              let sss_time = sss.report.protocol_time in
+              let messages = sss.report.net.messages_sent + cb.comm.messages in
+              let bytes = sss.report.net.bytes_sent + cb.comm.bytes in
               Trace.end_span "phase.beta"
                 ~args:
                   [
-                    ("messages", sss.report.net.messages_sent + cb.comm.messages);
-                    ("bytes", sss.report.net.bytes_sent + cb.comm.bytes);
-                    ("sim_us", int_of_float ((sss.report.protocol_time +. cb.time) *. 1e6));
+                    ("messages", messages);
+                    ("bytes", bytes);
+                    ("sim_us", int_of_float ((sss_time +. cb.time) *. 1e6));
                   ];
-              let index, betas, mixed, lambda, xi =
+              let publication_time = publication_cost ~n in
+              let result =
                 release_and_publish ~rng_release ~rng_publish ~mixing ~policy ~epsilons
                   ~membership:sub ~m:m' ~cb
+                  ~metrics:
+                    {
+                      secsumshare_time = sss_time;
+                      mpc_time = cb.time;
+                      publication_time;
+                      total_time = sss_time +. cb.time +. publication_time;
+                      messages;
+                      bytes;
+                      circuit_stats = cb.circuit_stats;
+                      mpc_comm = cb.comm;
+                    }
               in
-              let publication_time = publication_cost ~n in
-              let metrics =
-                {
-                  secsumshare_time = sss.report.protocol_time;
-                  mpc_time = cb.time;
-                  publication_time;
-                  total_time = sss.report.protocol_time +. cb.time +. publication_time;
-                  messages = sss.report.net.messages_sent + cb.comm.messages;
-                  bytes = sss.report.net.bytes_sent + cb.comm.bytes;
-                  circuit_stats = cb.circuit_stats;
-                  mpc_comm = cb.comm;
-                }
-              in
-              let result = { index; betas; common = cb.common; mixed; lambda; xi; metrics } in
               let rep = report ~survivors ~attempts:k in
               Trace.end_span "construct.attempt"
                 ~args:
@@ -346,11 +293,18 @@ let run_ft ?config ?sss_plan ?mpc_plan ?reliability ?mpc_reliability ?deadline
                     ("sss_retransmissions", rep.sss_retransmissions);
                     ("mpc_retransmissions", rep.mpc_retransmissions);
                   ];
-              if rep.excluded = [] then Complete (result, rep) else Degraded (result, rep)
-        end
+              if rep.excluded = [] then Complete (result, rep) else Degraded (result, rep))
     end
   in
-  attempt 1 all
+  with_pool_counters the_pool (fun () -> attempt 1 (List.init m Fun.id))
+
+let run ?network ?transport ?pool ?strategy ?c ?mixing rng ~membership ~epsilons ~policy =
+  match
+    run_ft ?network ?transport ?pool ?strategy ?c ?mixing rng ~membership ~epsilons ~policy
+  with
+  | Complete (r, _) -> r
+  | Degraded _ -> failwith "Protocol.Construct.run: providers were excluded"
+  | Failed (reason, _) -> failwith ("Protocol.Construct.run: " ^ reason)
 
 let beta_phase_time_estimate ?(network = Cost.lan) ~m ~identities ~c () =
   if m < c || c < 2 then invalid_arg "beta_phase_time_estimate: need m >= c >= 2";

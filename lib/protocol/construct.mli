@@ -42,38 +42,16 @@ val modulus_for : int -> Modarith.modulus
 (** Smallest prime above [m + 1]: large enough that no membership sum wraps
     and the "never common" threshold m+1 stays representable. *)
 
-val run :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?reliability:Secsumshare.reliability ->
-  ?network:Eppi_mpc.Cost.network ->
-  ?transport:Countbelow.transport ->
-  ?pool:Pool.t ->
-  ?strategy:Countbelow.strategy ->
-  ?c:int ->
-  ?mixing:Eppi.Mixing.mode ->
-  Rng.t ->
-  membership:Bitmatrix.t ->
-  epsilons:float array ->
-  policy:Eppi.Policy.t ->
-  result
-(** [c] defaults to 3 (the paper's configuration).  The matrix is
-    owner-major.
+(** {1 Construction}
 
-    [pool] and [strategy] select the CountBelow execution pipeline (see
-    {!Countbelow.run}); every phase draws from its own {!Rng.split} child
-    stream, so for a fixed seed the construction output — [common],
-    [betas], the published [index] — is bit-identical across strategies and
-    pool sizes.
-    @raise Invalid_argument on dimension mismatches, [c < 2] or [m < c]. *)
-
-(** {1 Fault-tolerant construction}
-
-    {!run} assumes the fault-free network of the paper's experiments;
-    {!run_ft} runs the same two phases under a
-    {!Eppi_simnet.Simnet.fault_plan} with the reliability sublayer always
-    on, and turns detected provider failures into graceful degradation:
-    when the failure detector declares providers dead, the whole β phase is
-    re-run over the surviving provider set (thresholds, modulus and σ all
+    One body, {!run_ft}, runs the attempt loop; {!run} is its fault-free
+    projection.  Without fault plans both stages run on their fault-free
+    transports: SecSumShare on the bare {!Eppi_simnet.Transport}, CountBelow
+    on [transport] (see {!Countbelow.run}).  A fault plan moves its stage
+    onto the reliable transport with that layer's default reliability, and
+    detected provider failures turn into graceful degradation: when the
+    failure detector declares providers dead, the whole β phase is re-run
+    over the surviving provider set (thresholds, modulus and σ all
     recomputed for m' = m - |excluded|), so every surviving owner's
     published row still satisfies its ε false-positive guarantee — over the
     survivors.  See docs/ROBUSTNESS.md. *)
@@ -104,14 +82,11 @@ type outcome =
           than c survivors, or a stall with no identifiable culprit. *)
 
 val run_ft :
-  ?config:Eppi_simnet.Simnet.config ->
   ?sss_plan:Eppi_simnet.Simnet.fault_plan ->
   ?mpc_plan:Eppi_simnet.Simnet.fault_plan ->
-  ?reliability:Secsumshare.reliability ->
-  ?mpc_reliability:Mpcnet.reliability ->
-  ?deadline:float ->
   ?max_attempts:int ->
   ?network:Eppi_mpc.Cost.network ->
+  ?transport:Countbelow.transport ->
   ?pool:Pool.t ->
   ?strategy:Countbelow.strategy ->
   ?c:int ->
@@ -121,17 +96,41 @@ val run_ft :
   epsilons:float array ->
   policy:Eppi.Policy.t ->
   outcome
-(** Both fault plans are expressed in {e original provider id} space:
+(** [c] defaults to 3 (the paper's configuration).  The matrix is
+    owner-major.
+
+    Both fault plans are expressed in {e original provider id} space:
     [sss_plan] drives the m-provider ring net, [mpc_plan] the c-coordinator
     MPC net (coordinator k is the k-th surviving provider; plan entries for
-    other providers are ignored).  On each retry the plans are re-projected
-    onto the survivor set, so a crashed provider's faults disappear with it.
-    When [mpc_plan] is omitted the CountBelow stage runs on the in-process
-    engine ([pool]/[strategy] as in {!run}); outputs are bit-identical
-    either way.  Determinism: the outcome is a pure function of (rng seed,
-    fault plans, inputs).  [max_attempts] defaults to 3, [deadline] is the
-    SecSumShare failure-detector horizon (default 0.25 s).
+    other providers are ignored, and [mpc_plan] takes precedence over
+    [transport]).  On each retry the plans are re-projected onto the
+    survivor set, so a crashed provider's faults disappear with it.
+
+    Every phase draws from its own {!Rng.split} child stream — sss, mpc,
+    release, publish, in that order, split from [rng] itself on the first
+    attempt and from a fresh child of [rng] on each retry — so for a fixed
+    seed the output ([common], [betas], the published [index]) is
+    bit-identical across strategies, pool sizes and transports: a lossy
+    run that completes equals the fault-free run.  The outcome is a pure
+    function of (rng seed, fault plans, inputs).  [max_attempts] defaults
+    to 3.
     @raise Invalid_argument on dimension mismatches, [c < 2] or [m < c]. *)
+
+val run :
+  ?network:Eppi_mpc.Cost.network ->
+  ?transport:Countbelow.transport ->
+  ?pool:Pool.t ->
+  ?strategy:Countbelow.strategy ->
+  ?c:int ->
+  ?mixing:Eppi.Mixing.mode ->
+  Rng.t ->
+  membership:Bitmatrix.t ->
+  epsilons:float array ->
+  policy:Eppi.Policy.t ->
+  result
+(** {!run_ft} without fault plans, required to complete.
+    @raise Invalid_argument as {!run_ft}.
+    @raise Failure if the construction does not complete. *)
 
 val beta_phase_time_estimate :
   ?network:Eppi_mpc.Cost.network -> m:int -> identities:int -> c:int -> unit -> float

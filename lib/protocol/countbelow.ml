@@ -15,7 +15,7 @@ type result = {
   time : float;
 }
 
-type transport = [ `Cost_model | `Simnet of Eppi_simnet.Simnet.config ]
+type transport = [ `Cost_model | `Simnet of Eppi_simnet.Transport.t ]
 type strategy = [ `Monolithic | `Sharded ]
 
 let integer_threshold ~policy ~epsilon ~m =
@@ -69,6 +69,13 @@ let decode_counts compiled raw_outputs =
 
 (* ---------- monolithic path ---------- *)
 
+type ft_result = {
+  outcome : [ `Done of result | `Coordinators_failed of int list ];
+  retransmissions : int;
+  duplicates : int;
+  retried_rounds : int;
+}
+
 (* One count_below circuit over all n identities, walked by a single GMW
    interpreter (optionally round-by-round over the simulated network).  This
    is the paper-literal formulation and the reference the sharded pipeline
@@ -81,27 +88,22 @@ let run_monolithic ~network ~transport rng ~shares ~q ~c ~clamped =
     Compile.encode_inputs compiled
       (List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dints shares.(i))))
   in
-  let raw_outputs, comm, emergent_time =
+  let stats = Circuit.stats compiled.circuit in
+  let outputs_bits = Array.length (Circuit.outputs compiled.circuit) in
+  let raw_outputs, comm, time, (retransmissions, duplicates, retried_rounds) =
     match transport with
     | `Cost_model ->
         let mpc = Gmw.execute rng compiled.circuit ~inputs in
-        (mpc.outputs, mpc.comm, None)
-    | `Simnet config ->
-        let mpc = Mpcnet.execute ~config rng compiled.circuit ~inputs in
-        let stats = Circuit.stats compiled.circuit in
-        let estimate =
-          Gmw.comm_estimate ~parties:(Array.length shares) stats
-            ~outputs:(Array.length (Circuit.outputs compiled.circuit))
-        in
-        (mpc.outputs, estimate, Some mpc.net.completion_time)
-  in
-  let common, freqs, count = decode_counts compiled raw_outputs in
-  let stats = Circuit.stats compiled.circuit in
-  let outputs_bits = Array.length (Circuit.outputs compiled.circuit) in
-  let time =
-    match emergent_time with
-    | Some t -> t
-    | None -> Cost.estimate ~network ~parties:c ~outputs:outputs_bits stats
+        ( Ok mpc.outputs,
+          mpc.comm,
+          Cost.estimate ~network ~parties:c ~outputs:outputs_bits stats,
+          (0, 0, 0) )
+    | `Simnet transport ->
+        let mpc = Mpcnet.execute_ft ~transport rng compiled.circuit ~inputs in
+        ( (match mpc.outcome with Mpcnet.Outputs raw -> Ok raw | Parties_failed dead -> Error dead),
+          Gmw.comm_estimate ~parties:c stats ~outputs:outputs_bits,
+          mpc.report.protocol_time,
+          (mpc.report.retransmissions, mpc.report.duplicates, mpc.retried_rounds) )
   in
   Trace.end_span "countbelow.monolithic"
     ~args:
@@ -111,15 +113,25 @@ let run_monolithic ~network ~transport rng ~shares ~q ~c ~clamped =
         ("and_depth", stats.and_depth);
         ("messages", comm.messages);
         ("bytes", comm.bytes);
+        ("retransmissions", retransmissions);
+        ("failed", match raw_outputs with Ok _ -> 0 | Error _ -> 1);
       ];
-  {
-    common;
-    frequencies = Array.mapi (fun j f -> if common.(j) then None else Some f) freqs;
-    n_common = count;
-    circuit_stats = stats;
-    comm;
-    time;
-  }
+  let outcome =
+    match raw_outputs with
+    | Error dead -> `Coordinators_failed dead
+    | Ok raw ->
+        let common, freqs, count = decode_counts compiled raw in
+        `Done
+          {
+            common;
+            frequencies = Array.mapi (fun j f -> if common.(j) then None else Some f) freqs;
+            n_common = count;
+            circuit_stats = stats;
+            comm;
+            time;
+          }
+  in
+  { outcome; retransmissions; duplicates; retried_rounds }
 
 (* ---------- sharded pipeline ---------- *)
 
@@ -222,7 +234,7 @@ let run_sharded ~network ~pool rng ~shares ~q ~c ~n ~clamped =
     time;
   }
 
-let run ?(network = Cost.lan) ?(transport = `Cost_model) ?(pool = Pool.sequential) ?strategy
+let run_ft ?(network = Cost.lan) ?(transport = `Cost_model) ?(pool = Pool.sequential) ?strategy
     rng ~shares ~q ~thresholds =
   let c, n = validate ~shares ~thresholds in
   if n = 0 then invalid_arg "Countbelow.run: no identities";
@@ -238,61 +250,11 @@ let run ?(network = Cost.lan) ?(transport = `Cost_model) ?(pool = Pool.sequentia
   in
   match strategy with
   | `Monolithic -> run_monolithic ~network ~transport rng ~shares ~q ~c ~clamped
-  | `Sharded -> run_sharded ~network ~pool rng ~shares ~q ~c ~n ~clamped
+  | `Sharded ->
+      let r = run_sharded ~network ~pool rng ~shares ~q ~c ~n ~clamped in
+      { outcome = `Done r; retransmissions = 0; duplicates = 0; retried_rounds = 0 }
 
-(* ---------- reliable path (fault-tolerant construction) ---------- *)
-
-type reliable = {
-  outcome : [ `Done of result | `Coordinators_failed of int list ];
-  retransmissions : int;
-  duplicates : int;
-  retried_rounds : int;
-  suspects : int list;
-}
-
-let run_reliable ?config ?plan ?reliability rng ~shares ~q ~thresholds =
-  let c, n = validate ~shares ~thresholds in
-  if n = 0 then invalid_arg "Countbelow.run: no identities";
-  let qi = Modarith.to_int q in
-  let clamped = Array.map (fun t -> max 0 (min t (qi - 1))) thresholds in
-  Trace.begin_span "countbelow.reliable";
-  let source = Programs.count_below ~c ~q:qi ~thresholds:clamped in
-  let compiled = Compile.compile_source_cached circuit_cache source in
-  let inputs =
-    Compile.encode_inputs compiled
-      (List.init c (fun i -> (Printf.sprintf "s%d" i, Compile.Dints shares.(i))))
-  in
-  let mpc = Mpcnet.execute_reliable ?config ?plan ?reliability rng compiled.circuit ~inputs in
-  let stats = Circuit.stats compiled.circuit in
-  let out_bits = Array.length (Circuit.outputs compiled.circuit) in
-  Trace.end_span "countbelow.reliable"
-    ~args:
-      [
-        ("identities", n);
-        ("gates", stats.size);
-        ("retransmissions", mpc.retransmissions);
-        ("duplicates", mpc.duplicates);
-        ("failed", match mpc.outcome with Mpcnet.Outputs _ -> 0 | _ -> 1);
-      ];
-  let outcome =
-    match mpc.outcome with
-    | Mpcnet.Parties_failed dead -> `Coordinators_failed dead
-    | Mpcnet.Outputs raw ->
-        let common, freqs, count = decode_counts compiled raw in
-        `Done
-          {
-            common;
-            frequencies = Array.mapi (fun j f -> if common.(j) then None else Some f) freqs;
-            n_common = count;
-            circuit_stats = stats;
-            comm = Gmw.comm_estimate ~parties:c stats ~outputs:out_bits;
-            time = mpc.protocol_time;
-          }
-  in
-  {
-    outcome;
-    retransmissions = mpc.retransmissions;
-    duplicates = mpc.duplicates;
-    retried_rounds = mpc.retried_rounds;
-    suspects = mpc.suspects;
-  }
+let run ?network ?transport ?pool ?strategy rng ~shares ~q ~thresholds =
+  match (run_ft ?network ?transport ?pool ?strategy rng ~shares ~q ~thresholds).outcome with
+  | `Done r -> r
+  | `Coordinators_failed _ -> failwith "Countbelow.run: the MPC did not complete (lossy network?)"

@@ -11,7 +11,10 @@
 
     The integer thresholds are derived from the β policy so that
     "frequency >= threshold" is {i exactly} "β* >= 1": the protocol and the
-    centralized reference classify identities identically (tested). *)
+    centralized reference classify identities identically (tested).
+
+    {!run_ft} is the one body over every transport; {!run} is its strict
+    projection, raising when the MPC stalls. *)
 
 open Eppi_prelude
 
@@ -28,10 +31,11 @@ type result = {
 }
 
 (** How the MPC stage runs: [`Cost_model] executes the in-process engine
-    and prices it with {!Eppi_mpc.Cost}; [`Simnet cfg] runs the protocol
-    round-by-round over the simulated network ({!Mpcnet}) so the time
-    emerges from message passing. *)
-type transport = [ `Cost_model | `Simnet of Eppi_simnet.Simnet.config ]
+    and prices it with {!Eppi_mpc.Cost}; [`Simnet t] runs the protocol
+    round-by-round over the simulated network ({!Mpcnet}) on transport [t]
+    — bare, or reliable under a fault plan — so the time emerges from
+    message passing. *)
+type transport = [ `Cost_model | `Simnet of Eppi_simnet.Transport.t ]
 
 (** How the count-below computation is organized:
 
@@ -52,7 +56,20 @@ val integer_threshold : policy:Eppi.Policy.t -> epsilon:float -> m:int -> int
 (** Smallest frequency count at which the policy's raw β reaches 1; [m + 1]
     when no frequency is common (ε = 0). *)
 
-val run :
+(** The outcome of one run, with the reliable transport's counters (all
+    zero on the other transports). *)
+type ft_result = {
+  outcome : [ `Done of result | `Coordinators_failed of int list ];
+      (** [`Done r]: all rounds completed; [r.common]/[r.frequencies] are
+          bit-identical on every transport, strategy and pool size.
+          [`Coordinators_failed dead]: the MPC stalled and the failure
+          detector blamed [dead]. *)
+  retransmissions : int;
+  duplicates : int;
+  retried_rounds : int;
+}
+
+val run_ft :
   ?network:Eppi_mpc.Cost.network ->
   ?transport:transport ->
   ?pool:Pool.t ->
@@ -61,7 +78,7 @@ val run :
   shares:int array array ->
   q:Modarith.modulus ->
   thresholds:int array ->
-  result
+  ft_result
 (** [shares] is the c x n coordinator matrix from {!Secsumshare};
     [thresholds.(j)] is the count above which identity j is common (values
     above [q - 1] are clamped to [q - 1], which is unreachable by any sum of
@@ -75,31 +92,16 @@ val run :
     size.
     @raise Invalid_argument on shape violations or zero identities. *)
 
-(** {1 Reliable path}
-
-    Used by {!Construct.run_ft}: the monolithic circuit executed over
-    {!Mpcnet.execute_reliable}, so coordinator crashes and message loss are
-    survived or detected instead of hanging the round. *)
-
-type reliable = {
-  outcome : [ `Done of result | `Coordinators_failed of int list ];
-      (** [`Done r]: all rounds completed; [r.common]/[r.frequencies] are
-          bit-identical to {!run} on the same shares ([r.time] is the
-          emergent protocol completion time).  [`Coordinators_failed dead]:
-          the MPC stalled and the failure detector blamed [dead]. *)
-  retransmissions : int;
-  duplicates : int;
-  retried_rounds : int;
-  suspects : int list;  (** Every coordinator ever blamed (may be spurious on [`Done]). *)
-}
-
-val run_reliable :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?plan:Eppi_simnet.Simnet.fault_plan ->
-  ?reliability:Mpcnet.reliability ->
+val run :
+  ?network:Eppi_mpc.Cost.network ->
+  ?transport:transport ->
+  ?pool:Pool.t ->
+  ?strategy:strategy ->
   Rng.t ->
   shares:int array array ->
   q:Modarith.modulus ->
   thresholds:int array ->
-  reliable
-(** @raise Invalid_argument on shape violations or zero identities. *)
+  result
+(** {!run_ft}, required to complete.
+    @raise Invalid_argument as {!run_ft}.
+    @raise Failure if the MPC stalls. *)

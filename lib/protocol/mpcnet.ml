@@ -1,6 +1,7 @@
 open Eppi_prelude
 open Eppi_circuit
 module Simnet = Eppi_simnet.Simnet
+module Transport = Eppi_simnet.Transport
 module Cost = Eppi_mpc.Cost
 
 type msg =
@@ -13,6 +14,24 @@ type result = {
   net : Simnet.metrics;
 }
 
+let default_reliability =
+  {
+    Transport.timeout = 0.005;
+    backoff = 2.0;
+    max_timeout = 0.08;
+    max_retries = 12;
+    deadline = 0.25;
+  }
+
+type outcome = Outputs of bool array | Parties_failed of int list
+
+type ft_result = {
+  outcome : outcome;
+  rounds : int;
+  retried_rounds : int;
+  report : Transport.stats;
+}
+
 (* XOR-share a bit among p parties. *)
 let share_bit rng ~p v =
   let shares = Array.init p (fun i -> if i < p - 1 then Rng.bool rng else false) in
@@ -22,9 +41,9 @@ let share_bit rng ~p v =
 
 let bits_size n = (n + 7) / 8
 
-(* --- Dealer phase (offline): input shares and Beaver triples.  Shared by
-   both engines; the rng draw order here is load-bearing (bit-identical
-   outputs across transports depend on it). --- *)
+(* --- Dealer phase (offline): input shares and Beaver triples.  The rng
+   draw order here is load-bearing (bit-identical outputs across transports
+   depend on it). --- *)
 let deal rng circuit ~inputs ~p =
   let gates = Circuit.gates circuit in
   let n_wires = Array.length gates in
@@ -54,7 +73,11 @@ let deal rng circuit ~inputs ~p =
     gates;
   (input_shares, sa, sb, sc)
 
-let execute ?config rng circuit ~inputs =
+(* A party sends each other party exactly one message per round: the AND
+   layers, then the output round. *)
+type key = { src : int; dst : int; round : int }
+
+let execute_ft ?(transport = Transport.bare) rng circuit ~inputs =
   let p = Circuit.num_parties circuit in
   if p < 2 then invalid_arg "Mpcnet.execute: need at least 2 parties";
   let gates = Circuit.gates circuit in
@@ -62,9 +85,11 @@ let execute ?config rng circuit ~inputs =
   let layers = Circuit.and_layers circuit in
   let n_layers = Array.length layers in
   let outputs_w = Circuit.outputs circuit in
+  (* Dealer draws happen before the network exists: message-level faults
+     cannot shift them, so outputs are a pure function of (rng, inputs). *)
   let input_shares, sa, sb, sc = deal rng circuit ~inputs ~p in
   (* --- Online phase over the network. --- *)
-  let net = Simnet.create ?config ~nodes:p () in
+  let net = Transport.create transport ~nodes:p in
   let shares = Array.init p (fun _ -> Array.make n_wires false) in
   let computed = Array.init p (fun _ -> Array.make n_wires false) in
   (* Opened d/e values, agreed by all parties once a layer completes; they
@@ -77,9 +102,26 @@ let execute ?config rng circuit ~inputs =
   let opens_count = Array.make_matrix p n_layers 0 in
   let out_acc = Array.init p (fun _ -> Array.make (Array.length outputs_w) false) in
   let outs_count = Array.make p 0 in
+  (* Who has contributed what, per receiver: the failure detector blames
+     exactly the parties whose contribution is still missing at a deadline. *)
+  let got_open = Array.init p (fun _ -> Array.make_matrix n_layers p false) in
+  let got_out = Array.make_matrix p p false in
   let final_outputs = ref None in
-  let rounds = ref (if n_layers = 0 then 1 else n_layers + 1) in
+  let rounds = if n_layers = 0 then 1 else n_layers + 1 in
   let params = Cost.default_params in
+  let broadcast ~src ~size ~round msg =
+    for dst = 0 to p - 1 do
+      if dst <> src then Transport.send net ~src ~dst ~size { src; dst; round } msg
+    done
+  in
+  (* Blame, at the round's deadline, every party whose contribution [got]
+     still lacks. *)
+  let check_round i got =
+    Transport.on_deadline net ~stage:1 i (fun () ->
+        for j = 0 to p - 1 do
+          if (not got.(j)) && j <> i then Transport.blame net j
+        done)
+  in
   (* Memoized local evaluation: And wires must already be finalized. *)
   let rec eval i w =
     if not computed.(i).(w) then begin
@@ -97,19 +139,30 @@ let execute ?config rng circuit ~inputs =
       computed.(i).(w) <- true
     end
   in
-  let send_outputs sim i =
-    let my = Array.map (fun w -> eval i w; shares.(i).(w)) outputs_w in
-    (* Include own contribution. *)
-    Array.iteri (fun k v -> out_acc.(i).(k) <- out_acc.(i).(k) <> v) my;
+  (* Fold an output contribution (possibly the party's own) into its
+     accumulator.  Under retransmission skew party 0 can be the last to
+     contribute its own output share, so completion is checked here. *)
+  let absorb_outs i src contribution =
+    got_out.(i).(src) <- true;
+    Array.iteri (fun k v -> out_acc.(i).(k) <- out_acc.(i).(k) <> v) contribution;
     outs_count.(i) <- outs_count.(i) + 1;
-    Simnet.work sim i (params.cpu_per_gate *. float_of_int (Array.length outputs_w));
-    Simnet.broadcast sim ~src:i ~size:(bits_size (Array.length outputs_w) + 16) (Outs my)
+    if outs_count.(i) = p && i = 0 then begin
+      final_outputs := Some (Array.copy out_acc.(i));
+      Transport.complete net
+    end
   in
-  let rec start_layer sim i l =
-    if l >= n_layers then send_outputs sim i
+  let send_outputs i =
+    let my = Array.map (fun w -> eval i w; shares.(i).(w)) outputs_w in
+    absorb_outs i i my;
+    Transport.work net i (params.cpu_per_gate *. float_of_int (Array.length outputs_w));
+    broadcast ~src:i ~size:(bits_size (Array.length outputs_w) + 16) ~round:n_layers (Outs my);
+    check_round i got_out.(i)
+  in
+  let rec start_layer i l =
+    if l >= n_layers then send_outputs i
     else begin
       let wires = layers.(l) in
-      Simnet.work sim i (params.crypto_per_and *. float_of_int (Array.length wires));
+      Transport.work net i (params.crypto_per_and *. float_of_int (Array.length wires));
       let ds =
         Array.map
           (fun w ->
@@ -130,14 +183,17 @@ let execute ?config rng circuit ~inputs =
             | _ -> assert false)
           wires
       in
-      absorb sim i l ds es;
-      Simnet.broadcast sim ~src:i
+      absorb i i l ds es;
+      broadcast ~src:i
         ~size:(2 * bits_size (Array.length wires) + 16)
-        (Opens { layer = l; ds; es })
+        ~round:l
+        (Opens { layer = l; ds; es });
+      check_round i got_open.(i).(l)
     end
   (* Fold a (possibly own) contribution into the layer accumulators; when
      all p contributions are in, finalize the layer's AND gates. *)
-  and absorb sim i l ds es =
+  and absorb i src l ds es =
+    got_open.(i).(l).(src) <- true;
     Array.iteri (fun k v -> d_acc.(i).(l).(k) <- d_acc.(i).(l).(k) <> v) ds;
     Array.iteri (fun k v -> e_acc.(i).(l).(k) <- e_acc.(i).(l).(k) <> v) es;
     opens_count.(i).(l) <- opens_count.(i).(l) + 1;
@@ -156,263 +212,29 @@ let execute ?config rng circuit ~inputs =
             <> (i = 0 && d && e);
           computed.(i).(w) <- true)
         layers.(l);
-      start_layer sim i (l + 1)
+      start_layer i (l + 1)
     end
   in
   for i = 0 to p - 1 do
-    Simnet.on_receive net i (fun sim ~src:_ msg ->
+    Transport.on_receive net i (fun ~src _ msg ->
         match msg with
-        | Opens { layer; ds; es } -> absorb sim i layer ds es
-        | Outs contribution ->
-            Array.iteri (fun k v -> out_acc.(i).(k) <- out_acc.(i).(k) <> v) contribution;
-            outs_count.(i) <- outs_count.(i) + 1;
-            if outs_count.(i) = p && i = 0 then final_outputs := Some (Array.copy out_acc.(i)));
-    Simnet.at net ~delay:0.0 i (fun sim -> start_layer sim i 0)
+        | Opens { layer; ds; es } -> absorb i src layer ds es
+        | Outs contribution -> absorb_outs i src contribution);
+    Transport.at net ~delay:0.0 i (fun () -> start_layer i 0)
   done;
-  Simnet.run net;
-  match !final_outputs with
-  | None ->
-      if Array.length outputs_w = 0 then
-        { outputs = [||]; rounds = !rounds; net = Simnet.metrics net }
-      else failwith "Mpcnet.execute: protocol did not complete (lossy network?)"
-  | Some outputs -> { outputs; rounds = !rounds; net = Simnet.metrics net }
-
-(* --- Reliable transport: stop-and-repeat with acks, exponential backoff,
-   and per-round deadlines feeding a timeout failure detector. --- *)
-
-type reliability = {
-  rto : float;
-  backoff : float;
-  max_rto : float;
-  max_retries : int;
-  round_deadline : float;
-}
-
-let default_reliability =
-  { rto = 0.005; backoff = 2.0; max_rto = 0.08; max_retries = 12; round_deadline = 0.25 }
-
-type packet =
-  | Data of { seq : int; round : int; payload : msg }
-  | Ack of { seq : int }
-
-type outcome = Outputs of bool array | Parties_failed of int list
-
-type reliable_result = {
-  outcome : outcome;
-  rounds : int;
-  retransmissions : int;
-  duplicates : int;
-  retried_rounds : int;
-  suspects : int list;
-  protocol_time : float;
-  net : Simnet.metrics;
-}
-
-let ack_size = 16
-
-let execute_reliable ?config ?plan ?(reliability = default_reliability) rng circuit
-    ~inputs =
-  let r = reliability in
-  let p = Circuit.num_parties circuit in
-  if p < 2 then invalid_arg "Mpcnet.execute_reliable: need at least 2 parties";
-  let gates = Circuit.gates circuit in
-  let n_wires = Array.length gates in
-  let layers = Circuit.and_layers circuit in
-  let n_layers = Array.length layers in
-  let outputs_w = Circuit.outputs circuit in
-  (* Dealer draws happen before the network exists: message-level faults
-     cannot shift them, so outputs are a pure function of (rng, inputs). *)
-  let input_shares, sa, sb, sc = deal rng circuit ~inputs ~p in
-  let net = Simnet.create ?config ?plan ~nodes:p () in
-  let shares = Array.init p (fun _ -> Array.make n_wires false) in
-  let computed = Array.init p (fun _ -> Array.make n_wires false) in
-  let opened_d = Array.make n_wires false in
-  let opened_e = Array.make n_wires false in
-  let d_acc = Array.init p (fun _ -> Array.map (fun ws -> Array.make (Array.length ws) false) layers) in
-  let e_acc = Array.init p (fun _ -> Array.map (fun ws -> Array.make (Array.length ws) false) layers) in
-  let opens_count = Array.make_matrix p n_layers 0 in
-  let out_acc = Array.init p (fun _ -> Array.make (Array.length outputs_w) false) in
-  let outs_count = Array.make p 0 in
-  (* Who has contributed what, per receiver: the failure detector blames
-     exactly the parties whose contribution is still missing at a deadline. *)
-  let got_open = Array.init p (fun _ -> Array.make_matrix n_layers p false) in
-  let got_out = Array.make_matrix p p false in
-  let final_outputs = ref None in
-  let rounds = ref (if n_layers = 0 then 1 else n_layers + 1) in
-  let params = Cost.default_params in
-  let seq_ctr = Array.make_matrix p p 0 in
-  let acked = Hashtbl.create 256 in
-  let seen = Hashtbl.create 256 in
-  let suspects = Hashtbl.create 8 in
-  let retried = Hashtbl.create 8 in
-  let retransmissions = ref 0 in
-  let duplicates = ref 0 in
-  let last_progress = ref 0.0 in
-  let finish_time = ref 0.0 in
-  let send_reliable sim ~src ~dst ~size ~round payload =
-    let seq = seq_ctr.(src).(dst) in
-    seq_ctr.(src).(dst) <- seq + 1;
-    let key = (src, dst, seq) in
-    let pkt = Data { seq; round; payload } in
-    Simnet.send sim ~src ~dst ~size pkt;
-    let rec arm attempt rto =
-      Simnet.at sim ~delay:rto src (fun sim ->
-          if (not (Hashtbl.mem acked key)) && !final_outputs = None then
-            if attempt < r.max_retries then begin
-              incr retransmissions;
-              Hashtbl.replace retried round ();
-              Simnet.send sim ~src ~dst ~size pkt;
-              arm (attempt + 1) (Float.min (rto *. r.backoff) r.max_rto)
-            end
-            else
-              (* Ack never came despite max_retries copies: declare dst dead. *)
-              Hashtbl.replace suspects dst ())
-    in
-    arm 0 r.rto
+  Transport.run net;
+  let report = Transport.stats net in
+  let outcome =
+    match !final_outputs with
+    | Some outputs -> Outputs outputs
+    | None when Array.length outputs_w = 0 -> Outputs [||]
+    | None -> Parties_failed report.suspects
   in
-  let broadcast_reliable sim ~src ~size ~round payload =
-    for dst = 0 to p - 1 do
-      if dst <> src then send_reliable sim ~src ~dst ~size ~round payload
-    done
-  in
-  let rec eval i w =
-    if not computed.(i).(w) then begin
-      (match gates.(w) with
-      | Circuit.Input _ -> shares.(i).(w) <- input_shares.(i).(w)
-      | Const b -> shares.(i).(w) <- (i = 0 && b)
-      | Not a ->
-          eval i a;
-          shares.(i).(w) <- (if i = 0 then not shares.(i).(a) else shares.(i).(a))
-      | Xor (a, b) ->
-          eval i a;
-          eval i b;
-          shares.(i).(w) <- shares.(i).(a) <> shares.(i).(b)
-      | And _ -> failwith "Mpcnet: AND wire evaluated before its layer opened");
-      computed.(i).(w) <- true
-    end
-  in
-  let out_round = n_layers in
-  let send_outputs sim i =
-    let my = Array.map (fun w -> eval i w; shares.(i).(w)) outputs_w in
-    Array.iteri (fun k v -> out_acc.(i).(k) <- out_acc.(i).(k) <> v) my;
-    outs_count.(i) <- outs_count.(i) + 1;
-    got_out.(i).(i) <- true;
-    (* Under retransmission skew party 0 can be the last to contribute its
-       own output share: completion must be checked here too. *)
-    if outs_count.(i) = p && i = 0 then begin
-      final_outputs := Some (Array.copy out_acc.(i));
-      finish_time := Simnet.now sim
-    end;
-    Simnet.work sim i (params.cpu_per_gate *. float_of_int (Array.length outputs_w));
-    broadcast_reliable sim ~src:i
-      ~size:(bits_size (Array.length outputs_w) + 16)
-      ~round:out_round (Outs my);
-    Simnet.at sim ~delay:r.round_deadline i (fun _sim ->
-        if !final_outputs = None && outs_count.(i) < p then
-          for j = 0 to p - 1 do
-            if (not got_out.(i).(j)) && j <> i then Hashtbl.replace suspects j ()
-          done)
-  in
-  let rec start_layer sim i l =
-    if l >= n_layers then send_outputs sim i
-    else begin
-      let wires = layers.(l) in
-      Simnet.work sim i (params.crypto_per_and *. float_of_int (Array.length wires));
-      let ds =
-        Array.map
-          (fun w ->
-            match gates.(w) with
-            | Circuit.And (a, _) ->
-                eval i a;
-                shares.(i).(a) <> sa.(i).(w)
-            | _ -> assert false)
-          wires
-      in
-      let es =
-        Array.map
-          (fun w ->
-            match gates.(w) with
-            | Circuit.And (_, b) ->
-                eval i b;
-                shares.(i).(b) <> sb.(i).(w)
-            | _ -> assert false)
-          wires
-      in
-      got_open.(i).(l).(i) <- true;
-      absorb sim i l ds es;
-      broadcast_reliable sim ~src:i
-        ~size:(2 * bits_size (Array.length wires) + 16)
-        ~round:l
-        (Opens { layer = l; ds; es });
-      Simnet.at sim ~delay:r.round_deadline i (fun _sim ->
-          if !final_outputs = None && opens_count.(i).(l) < p then
-            for j = 0 to p - 1 do
-              if (not got_open.(i).(l).(j)) && j <> i then Hashtbl.replace suspects j ()
-            done)
-    end
-  and absorb sim i l ds es =
-    Array.iteri (fun k v -> d_acc.(i).(l).(k) <- d_acc.(i).(l).(k) <> v) ds;
-    Array.iteri (fun k v -> e_acc.(i).(l).(k) <- e_acc.(i).(l).(k) <> v) es;
-    opens_count.(i).(l) <- opens_count.(i).(l) + 1;
-    if opens_count.(i).(l) = p then begin
-      Array.iteri
-        (fun k w ->
-          opened_d.(w) <- d_acc.(i).(l).(k);
-          opened_e.(w) <- e_acc.(i).(l).(k);
-          let d = opened_d.(w) and e = opened_e.(w) in
-          shares.(i).(w) <-
-            sc.(i).(w)
-            <> (d && sb.(i).(w))
-            <> (e && sa.(i).(w))
-            <> (i = 0 && d && e);
-          computed.(i).(w) <- true)
-        layers.(l);
-      start_layer sim i (l + 1)
-    end
-  in
-  for i = 0 to p - 1 do
-    Simnet.on_receive net i (fun sim ~src pkt ->
-        match pkt with
-        | Ack { seq } -> Hashtbl.replace acked (i, src, seq) ()
-        | Data { seq; round = _; payload } ->
-            (* Always re-ack: the previous ack may have been lost. *)
-            Simnet.send sim ~src:i ~dst:src ~size:ack_size (Ack { seq });
-            if Hashtbl.mem seen (i, src, seq) then incr duplicates
-            else begin
-              Hashtbl.replace seen (i, src, seq) ();
-              if Simnet.now sim > !last_progress then last_progress := Simnet.now sim;
-              match payload with
-              | Opens { layer; ds; es } ->
-                  got_open.(i).(layer).(src) <- true;
-                  absorb sim i layer ds es
-              | Outs contribution ->
-                  got_out.(i).(src) <- true;
-                  Array.iteri
-                    (fun k v -> out_acc.(i).(k) <- out_acc.(i).(k) <> v)
-                    contribution;
-                  outs_count.(i) <- outs_count.(i) + 1;
-                  if outs_count.(i) = p && i = 0 then begin
-                    final_outputs := Some (Array.copy out_acc.(i));
-                    finish_time := Simnet.now sim
-                  end
-            end);
-    Simnet.at net ~delay:0.0 i (fun sim -> start_layer sim i 0)
-  done;
-  Simnet.run net;
-  let suspect_list = List.sort_uniq compare (Hashtbl.fold (fun k () acc -> k :: acc) suspects []) in
-  let finish outcome protocol_time =
-    {
-      outcome;
-      rounds = !rounds;
-      retransmissions = !retransmissions;
-      duplicates = !duplicates;
-      retried_rounds = Hashtbl.length retried;
-      suspects = suspect_list;
-      protocol_time;
-      net = Simnet.metrics net;
-    }
-  in
-  match !final_outputs with
-  | Some outputs -> finish (Outputs outputs) !finish_time
-  | None when Array.length outputs_w = 0 -> finish (Outputs [||]) !last_progress
-  | None -> finish (Parties_failed suspect_list) !last_progress
+  let retried = List.map (fun k -> k.round) (Transport.retried net) in
+  { outcome; rounds; retried_rounds = List.length (List.sort_uniq compare retried); report }
+
+let execute ?transport rng circuit ~inputs =
+  match execute_ft ?transport rng circuit ~inputs with
+  | { outcome = Outputs outputs; rounds; report; _ } -> { outputs; rounds; net = report.net }
+  | { outcome = Parties_failed _; _ } ->
+      failwith "Mpcnet.execute: protocol did not complete (lossy network?)"

@@ -13,81 +13,53 @@
     Beaver triples are pre-distributed by the dealer before time zero, as
     in the in-process engine (the offline phase is out of scope).
 
-    {!execute} assumes a perfect network and raises if the run stalls.
-    {!execute_reliable} wraps every protocol message in a reliability
-    sublayer — sequence numbers, acks, retransmission with exponential
-    backoff — plus a timeout failure detector, and returns a typed outcome
-    instead of raising.  Because the dealer draws all randomness before the
-    network exists, a reliable run that completes produces outputs
-    bit-identical to the lossless run with the same rng. *)
+    There is one protocol body, {!execute_ft}; the
+    {!Eppi_simnet.Transport} it runs on decides how it meets faults.  On
+    the bare transport (the default) a lost message stalls the run.  On the
+    reliable transport every message is acknowledged and resent until it
+    arrives, and a party still missing contributions a round deadline after
+    entering the round blames the parties that owe them.  Because the
+    dealer draws all randomness before the network exists, a run that
+    completes produces outputs bit-identical to the lossless run with the
+    same rng.  {!execute} is the strict projection. *)
 
 open Eppi_prelude
 open Eppi_circuit
 
+val default_reliability : Eppi_simnet.Transport.reliability
+(** 5 ms initial timeout, x2 backoff capped at 80 ms, 12 retries, 250 ms
+    round deadline — sized for {!Eppi_simnet.Simnet.default_config}
+    latency. *)
+
+type outcome =
+  | Outputs of bool array  (** All rounds completed. *)
+  | Parties_failed of int list
+      (** The run stalled; the listed parties were blamed by the failure
+          detector (retransmissions exhausted, or missing at a deadline).
+          Empty on the bare transport, which detects nothing. *)
+
+type ft_result = {
+  outcome : outcome;
+  rounds : int;  (** Broadcast rounds: one per AND layer plus the output round. *)
+  retried_rounds : int;  (** Rounds in which at least one retransmission happened. *)
+  report : Eppi_simnet.Transport.stats;
+      (** [suspects] may be non-empty even on [Outputs] — a deadline that
+          fired late is a false alarm, not a failure. *)
+}
+
+val execute_ft :
+  ?transport:Eppi_simnet.Transport.t -> Rng.t -> Circuit.t -> inputs:bool array array -> ft_result
+(** Run GMW over [transport] (default {!Eppi_simnet.Transport.bare}).
+    @raise Invalid_argument on missing input bits or fewer than 2 parties. *)
+
 type result = {
   outputs : bool array;
-  rounds : int;  (** Broadcast rounds: one per AND layer plus the output round. *)
+  rounds : int;
   net : Eppi_simnet.Simnet.metrics;
 }
 
 val execute :
-  ?config:Eppi_simnet.Simnet.config ->
-  Rng.t ->
-  Circuit.t ->
-  inputs:bool array array ->
-  result
-(** @raise Invalid_argument on missing input bits or fewer than 2 parties. *)
-
-(** {1 Reliable transport} *)
-
-type reliability = {
-  rto : float;  (** Initial retransmission timeout, seconds. *)
-  backoff : float;  (** Multiplier applied to the rto after each retry. *)
-  max_rto : float;  (** Cap on the backed-off rto. *)
-  max_retries : int;
-      (** Unacked after this many retransmissions => the destination is
-          declared dead. *)
-  round_deadline : float;
-      (** A party that entered a round this long ago and is still missing
-          contributions blames the missing parties. *)
-}
-
-val default_reliability : reliability
-(** 5 ms initial rto, x2 backoff capped at 80 ms, 12 retries, 250 ms round
-    deadline — sized for {!Eppi_simnet.Simnet.default_config} latency. *)
-
-type outcome =
-  | Outputs of bool array  (** All rounds completed; same value as {!execute}. *)
-  | Parties_failed of int list
-      (** The run stalled; the listed parties were blamed by the failure
-          detector (retransmissions exhausted, or missing at a deadline). *)
-
-type reliable_result = {
-  outcome : outcome;
-  rounds : int;
-  retransmissions : int;  (** Data packets re-sent after an rto expiry. *)
-  duplicates : int;  (** Received copies suppressed by sequence numbers. *)
-  retried_rounds : int;  (** Rounds in which at least one retransmission happened. *)
-  suspects : int list;
-      (** Every party ever blamed.  May be non-empty even on [Outputs] —
-          a deadline that fired late is a false alarm, not a failure. *)
-  protocol_time : float;
-      (** Sim time of the last fresh protocol progress (completion instant on
-          success).  Unlike [net.completion_time] it excludes trailing
-          retransmission timers, so it is comparable to {!execute}'s
-          completion time. *)
-  net : Eppi_simnet.Simnet.metrics;
-}
-
-val execute_reliable :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?plan:Eppi_simnet.Simnet.fault_plan ->
-  ?reliability:reliability ->
-  Rng.t ->
-  Circuit.t ->
-  inputs:bool array array ->
-  reliable_result
-(** Run GMW under the given fault plan.  Completes (and matches the
-    lossless outputs bit for bit) as long as every message eventually gets
-    through; returns [Parties_failed] instead of raising when it cannot.
-    @raise Invalid_argument on missing input bits or fewer than 2 parties. *)
+  ?transport:Eppi_simnet.Transport.t -> Rng.t -> Circuit.t -> inputs:bool array array -> result
+(** {!execute_ft}, required to complete.
+    @raise Invalid_argument as {!execute_ft}.
+    @raise Failure if the run stalls. *)

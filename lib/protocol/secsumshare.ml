@@ -1,16 +1,26 @@
 open Eppi_prelude
 module Simnet = Eppi_simnet.Simnet
+module Transport = Eppi_simnet.Transport
 module Additive = Eppi_secretshare.Additive
 
-(* Data messages carry a key identifying them for acknowledgement and
-   receiver-side deduplication: a provider sends at most one k-th share
-   vector and one super-share vector. *)
+(* A data message is named by what it carries: a provider sends at most one
+   k-th share vector and one super-share vector. *)
 type key = Kshares of { src : int; k : int } | Ksuper of { src : int }
 
-type msg =
-  | Shares of { k : int; values : int array }
-  | Super of int array
-  | Ack of key
+let default_reliability =
+  {
+    Transport.timeout = 0.01;
+    backoff = 2.0;
+    max_timeout = 0.08;
+    max_retries = 25;
+    deadline = 0.25;
+  }
+
+type ft_result = {
+  shares : int array array option;
+  stalled : int list;
+  report : Transport.stats;
+}
 
 type result = {
   coordinator_shares : int array array;
@@ -18,25 +28,14 @@ type result = {
   retransmissions : int;
 }
 
-type reliability = {
-  ack_timeout : float;
-  max_retries : int;
-  backoff : float;
-  max_timeout : float;
-}
-
-let default_reliability =
-  { ack_timeout = 0.01; max_retries = 25; backoff = 2.0; max_timeout = 0.08 }
-
 (* Rough wire size: 4 bytes per residue plus a small envelope. *)
 let message_size n = (4 * n) + 16
-
-let ack_size = 16
 
 (* CPU charge per modular operation in the simulated time model. *)
 let op_cost = 2e-8
 
-let validate_inputs ~fn inputs ~c ~q =
+let validate_inputs inputs ~c ~q =
+  let fn = "Secsumshare.run" in
   let m = Array.length inputs in
   if c < 2 then invalid_arg (fn ^ ": need c >= 2");
   if m < c then invalid_arg (fn ^ ": need at least c providers");
@@ -54,9 +53,9 @@ let validate_inputs ~fn inputs ~c ~q =
     inputs;
   (m, n)
 
-let run ?config ?reliability rng ~inputs ~c ~q =
-  let m, n = validate_inputs ~fn:"Secsumshare.run" inputs ~c ~q in
-  let net = Simnet.create ?config ~nodes:m () in
+let run_ft ?(transport = Transport.bare) rng ~inputs ~c ~q =
+  let m, n = validate_inputs inputs ~c ~q in
+  let net = Transport.create transport ~nodes:m in
   (* Per-provider accumulator over the shares it holds (own 0-th + received). *)
   let acc = Array.init m (fun _ -> Array.make n 0) in
   let received = Array.make m 0 in
@@ -66,79 +65,46 @@ let run ?config ?reliability rng ~inputs ~c ~q =
     coord_expect.(i mod c) <- coord_expect.(i mod c) + 1
   done;
   let coord_received = Array.make c 0 in
-  (* Reliability state: which keys were delivered (receiver side) and which
-     were acknowledged (sender side). *)
-  let seen : (key, unit) Hashtbl.t = Hashtbl.create 64 in
-  let acked : (key, unit) Hashtbl.t = Hashtbl.create 64 in
-  let retransmissions = ref 0 in
+  (* Failure-detector state beside the transport's direct evidence:
+     [stalled] marks live victims, providers that could not emit their
+     super-share because a predecessor failed — the coordinator must not
+     mistake them for dead. *)
+  let stalled = Array.make m false in
   (* Each provider derives its own randomness stream so message timing cannot
      perturb another provider's draws. *)
   let provider_rngs = Array.init m (fun _ -> Rng.split rng) in
-  (* Send a data message, with retransmission when a reliability layer is
-     configured. *)
-  let send_data sim ~src ~dst ~size msg ~key =
-    Simnet.send sim ~src ~dst ~size msg;
-    match reliability with
-    | None -> ()
-    | Some { ack_timeout; max_retries; backoff; max_timeout } ->
-        let rec arm attempt timeout =
-          Simnet.at sim ~delay:timeout src (fun sim ->
-              if not (Hashtbl.mem acked key) then
-                if attempt < max_retries then begin
-                  incr retransmissions;
-                  Simnet.send sim ~src ~dst ~size msg;
-                  arm (attempt + 1) (Float.min (timeout *. backoff) max_timeout)
-                end)
-        in
-        arm 0 ack_timeout
+  let accumulate i dst values =
+    Transport.work net i (op_cost *. float_of_int n);
+    for j = 0 to n - 1 do
+      dst.(j) <- Modarith.add q dst.(j) values.(j)
+    done
   in
-  let ack sim ~receiver ~sender key =
-    match reliability with
-    | None -> ()
-    | Some _ -> Simnet.send sim ~src:receiver ~dst:sender ~size:ack_size (Ack key)
-  in
-  let finish_if_complete sim i =
+  let finish_if_complete i =
     if received.(i) = c - 1 then begin
-      (* Step 3-4: the accumulated vector is the super-share; ship it to the
+      (* Steps 3-4: the accumulated vector is the super-share; ship it to the
          coordinator responsible for this provider. *)
-      Simnet.work sim i (op_cost *. float_of_int n);
-      send_data sim ~src:i ~dst:(i mod c) ~size:(message_size n) (Super acc.(i))
-        ~key:(Ksuper { src = i })
+      Transport.work net i (op_cost *. float_of_int n);
+      Transport.send net ~src:i ~dst:(i mod c) ~size:(message_size n) (Ksuper { src = i }) acc.(i)
     end
   in
   for i = 0 to m - 1 do
-    Simnet.on_receive net i (fun sim ~src msg ->
-        match msg with
-        | Ack key -> Hashtbl.replace acked key ()
-        | Shares { k; values } ->
-            let key = Kshares { src; k } in
-            ack sim ~receiver:i ~sender:src key;
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.replace seen key ();
-              Simnet.work sim i (op_cost *. float_of_int n);
-              for j = 0 to n - 1 do
-                acc.(i).(j) <- Modarith.add q acc.(i).(j) values.(j)
-              done;
-              received.(i) <- received.(i) + 1;
-              finish_if_complete sim i
-            end
-        | Super values ->
-            let key = Ksuper { src } in
-            ack sim ~receiver:i ~sender:src key;
-            if not (Hashtbl.mem seen key) then begin
-              Hashtbl.replace seen key ();
-              let r = i in
-              Simnet.work sim i (op_cost *. float_of_int n);
-              for j = 0 to n - 1 do
-                coordinator_shares.(r).(j) <- Modarith.add q coordinator_shares.(r).(j) values.(j)
-              done;
-              coord_received.(r) <- coord_received.(r) + 1
-            end);
-    Simnet.at net ~delay:0.0 i (fun sim ->
+    Transport.on_receive net i (fun ~src:_ key values ->
+        match key with
+        | Kshares _ ->
+            accumulate i acc.(i) values;
+            received.(i) <- received.(i) + 1;
+            finish_if_complete i
+        | Ksuper _ ->
+            accumulate i coordinator_shares.(i) values;
+            coord_received.(i) <- coord_received.(i) + 1;
+            if coord_received.(i) = coord_expect.(i)
+               && Array.for_all2 ( = ) coord_received coord_expect
+            then Transport.complete net);
+    Transport.at net ~delay:0.0 i (fun () ->
         (* Steps 1-2: split every private value into c shares; keep share 0,
            send share k to the k-th successor. *)
         let my_rng = provider_rngs.(i) in
-        Simnet.work sim i (op_cost *. float_of_int (n * c));
+        Transport.work net i (op_cost *. float_of_int (n * c));
         let vectors = Array.init c (fun _ -> Array.make n 0) in
         for j = 0 to n - 1 do
           let shares = Additive.share my_rng ~q ~c inputs.(i).(j) in
@@ -148,187 +114,46 @@ let run ?config ?reliability rng ~inputs ~c ~q =
           acc.(i).(j) <- Modarith.add q acc.(i).(j) vectors.(0).(j)
         done;
         for k = 1 to c - 1 do
-          send_data sim ~src:i ~dst:((i + k) mod m) ~size:(message_size n) (Shares { k; values = vectors.(k) })
-            ~key:(Kshares { src = i; k })
+          Transport.send net ~src:i ~dst:((i + k) mod m) ~size:(message_size n)
+            (Kshares { src = i; k }) vectors.(k)
         done;
-        finish_if_complete sim i)
-  done;
-  Simnet.run net;
-  Array.iteri
-    (fun r got ->
-      if got <> coord_expect.(r) then
-        failwith (Printf.sprintf "Secsumshare.run: coordinator %d got %d of %d super-shares" r got
-                    coord_expect.(r)))
-    coord_received;
-  { coordinator_shares; net = Simnet.metrics net; retransmissions = !retransmissions }
-
-(* --- Fault-tolerant variant: same protocol, but faults are survivable and
-   failures are detected instead of raised. --- *)
-
-type report = {
-  suspects : int list;
-  stalled : int list;
-  retransmissions : int;
-  duplicates : int;
-  protocol_time : float;
-  net : Simnet.metrics;
-}
-
-type ft_result = {
-  shares : int array array option;
-  report : report;
-}
-
-let run_ft ?config ?plan ?(reliability = default_reliability) ?(deadline = 0.25) rng
-    ~inputs ~c ~q =
-  let m, n = validate_inputs ~fn:"Secsumshare.run_ft" inputs ~c ~q in
-  if deadline <= 0.0 then invalid_arg "Secsumshare.run_ft: deadline must be > 0";
-  let net = Simnet.create ?config ?plan ~nodes:m () in
-  let acc = Array.init m (fun _ -> Array.make n 0) in
-  let received = Array.make m 0 in
-  let coordinator_shares = Array.init c (fun _ -> Array.make n 0) in
-  let coord_expect = Array.make c 0 in
-  for i = 0 to m - 1 do
-    coord_expect.(i mod c) <- coord_expect.(i mod c) + 1
-  done;
-  let coord_received = Array.make c 0 in
-  let seen : (key, unit) Hashtbl.t = Hashtbl.create 64 in
-  let acked : (key, unit) Hashtbl.t = Hashtbl.create 64 in
-  (* Failure-detector state.  [blamed] holds direct evidence (retransmission
-     budget exhausted toward a node, or a node's shares missing at a
-     deadline).  [stalled] marks live victims: providers that could not emit
-     their super-share because a predecessor failed — the coordinator must
-     not mistake them for dead. *)
-  let blamed : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let stalled = Array.make m false in
-  let missing_super = Array.make m false in
-  let retransmissions = ref 0 in
-  let duplicates = ref 0 in
-  let last_progress = ref 0.0 in
-  let finish_time = ref 0.0 in
-  let complete = ref false in
-  let provider_rngs = Array.init m (fun _ -> Rng.split rng) in
-  let send_data sim ~src ~dst ~size msg ~key =
-    Simnet.send sim ~src ~dst ~size msg;
-    let rec arm attempt timeout =
-      Simnet.at sim ~delay:timeout src (fun sim ->
-          if (not (Hashtbl.mem acked key)) && not !complete then
-            if attempt < reliability.max_retries then begin
-              incr retransmissions;
-              Simnet.send sim ~src ~dst ~size msg;
-              arm (attempt + 1) (Float.min (timeout *. reliability.backoff) reliability.max_timeout)
-            end
-            else Hashtbl.replace blamed dst ())
-    in
-    arm 0 reliability.ack_timeout
-  in
-  let progress sim =
-    if Simnet.now sim > !last_progress then last_progress := Simnet.now sim
-  in
-  let finish_if_complete sim i =
-    if received.(i) = c - 1 then begin
-      Simnet.work sim i (op_cost *. float_of_int n);
-      send_data sim ~src:i ~dst:(i mod c) ~size:(message_size n) (Super acc.(i))
-        ~key:(Ksuper { src = i })
-    end
-  in
-  for i = 0 to m - 1 do
-    Simnet.on_receive net i (fun sim ~src msg ->
-        match msg with
-        | Ack key -> Hashtbl.replace acked key ()
-        | Shares { k; values } ->
-            let key = Kshares { src; k } in
-            Simnet.send sim ~src:i ~dst:src ~size:ack_size (Ack key);
-            if Hashtbl.mem seen key then incr duplicates
-            else begin
-              Hashtbl.replace seen key ();
-              progress sim;
-              Simnet.work sim i (op_cost *. float_of_int n);
-              for j = 0 to n - 1 do
-                acc.(i).(j) <- Modarith.add q acc.(i).(j) values.(j)
-              done;
-              received.(i) <- received.(i) + 1;
-              finish_if_complete sim i
-            end
-        | Super values ->
-            let key = Ksuper { src } in
-            Simnet.send sim ~src:i ~dst:src ~size:ack_size (Ack key);
-            if Hashtbl.mem seen key then incr duplicates
-            else begin
-              Hashtbl.replace seen key ();
-              progress sim;
-              let r = i in
-              Simnet.work sim i (op_cost *. float_of_int n);
-              for j = 0 to n - 1 do
-                coordinator_shares.(r).(j) <- Modarith.add q coordinator_shares.(r).(j) values.(j)
-              done;
-              coord_received.(r) <- coord_received.(r) + 1;
-              if coord_received.(r) = coord_expect.(r)
-                 && Array.for_all2 ( = ) coord_received coord_expect
-              then begin
-                complete := true;
-                finish_time := Simnet.now sim
-              end
-            end);
-    Simnet.at net ~delay:0.0 i (fun sim ->
-        let my_rng = provider_rngs.(i) in
-        Simnet.work sim i (op_cost *. float_of_int (n * c));
-        let vectors = Array.init c (fun _ -> Array.make n 0) in
-        for j = 0 to n - 1 do
-          let shares = Additive.share my_rng ~q ~c inputs.(i).(j) in
-          Array.iteri (fun k s -> vectors.(k).(j) <- s) shares
-        done;
-        for j = 0 to n - 1 do
-          acc.(i).(j) <- Modarith.add q acc.(i).(j) vectors.(0).(j)
-        done;
-        for k = 1 to c - 1 do
-          send_data sim ~src:i ~dst:((i + k) mod m) ~size:(message_size n) (Shares { k; values = vectors.(k) })
-            ~key:(Kshares { src = i; k })
-        done;
-        finish_if_complete sim i);
+        finish_if_complete i);
     (* Deadline: a provider still short of shares blames exactly the ring
        predecessors whose vectors are missing, and flags itself stalled. *)
-    Simnet.at net ~delay:deadline i (fun _sim ->
+    Transport.on_deadline net ~stage:1 i (fun () ->
         if received.(i) < c - 1 then begin
           stalled.(i) <- true;
           for k = 1 to c - 1 do
             let src = (((i - k) mod m) + m) mod m in
-            if not (Hashtbl.mem seen (Kshares { src; k })) then Hashtbl.replace blamed src ()
+            if not (Transport.delivered net (Kshares { src; k })) then Transport.blame net src
           done
         end)
   done;
-  (* Coordinators check for missing super-shares after the providers'
-     deadline has had a chance to fire. *)
+  (* Coordinators check for missing super-shares once the providers'
+     deadline has fired.  A stalled provider's super-share is missing
+     because of someone else's failure: it is not blamed. *)
   for r = 0 to c - 1 do
-    Simnet.at net ~delay:(2.0 *. deadline) r (fun _sim ->
-        if coord_received.(r) < coord_expect.(r) then
-          for i = 0 to m - 1 do
-            if i mod c = r && not (Hashtbl.mem seen (Ksuper { src = i })) then
-              missing_super.(i) <- true
-          done)
+    Transport.on_deadline net ~stage:2 r (fun () ->
+        for i = 0 to m - 1 do
+          if i mod c = r && (not stalled.(i)) && not (Transport.delivered net (Ksuper { src = i }))
+          then Transport.blame net i
+        done)
   done;
-  Simnet.run net;
-  let stalled_list = List.filter (fun i -> stalled.(i)) (List.init m Fun.id) in
-  let suspects =
-    let direct = Hashtbl.fold (fun i () acc -> i :: acc) blamed [] in
-    let missing =
-      (* A stalled provider's super-share is missing because of someone
-         else's failure; do not suspect it without direct evidence. *)
-      List.filter (fun i -> missing_super.(i) && not stalled.(i)) (List.init m Fun.id)
-    in
-    List.sort_uniq compare (direct @ missing)
-  in
-  let report =
-    {
-      suspects;
-      stalled = stalled_list;
-      retransmissions = !retransmissions;
-      duplicates = !duplicates;
-      protocol_time = (if !complete then !finish_time else !last_progress);
-      net = Simnet.metrics net;
-    }
-  in
-  { shares = (if !complete then Some coordinator_shares else None); report }
+  Transport.run net;
+  {
+    shares =
+      (if Array.for_all2 ( = ) coord_received coord_expect then Some coordinator_shares
+       else None);
+    stalled = List.filter (fun i -> stalled.(i)) (List.init m Fun.id);
+    report = Transport.stats net;
+  }
+
+let run ?transport rng ~inputs ~c ~q =
+  match run_ft ?transport rng ~inputs ~c ~q with
+  | { shares = Some coordinator_shares; report; _ } ->
+      { coordinator_shares; net = report.net; retransmissions = report.retransmissions }
+  | { shares = None; _ } ->
+      failwith "Secsumshare.run: a coordinator is missing super-shares (lossy network?)"
 
 let reconstruct ~q shares =
   match Array.length shares with

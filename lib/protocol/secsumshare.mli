@@ -22,96 +22,66 @@
 
     Requires m >= c >= 2.
 
-    {!run} is the historical strict entry point: it raises if the run does
-    not complete.  {!run_ft} is the fault-tolerant variant used by
-    {!Eppi_protocol.Construct.run_ft}: it accepts a
-    {!Eppi_simnet.Simnet.fault_plan}, always runs the reliability layer,
-    and on failure reports which providers a timeout-based failure detector
-    blames rather than raising. *)
+    There is one protocol body, {!run_ft}; the {!Eppi_simnet.Transport} it
+    runs on decides how it meets faults.  On the bare transport (the
+    default) a lost share stalls the run, which is reported incomplete
+    rather than corrupting the sum.  On the reliable transport every
+    message is acknowledged and resent until it arrives, and a failure
+    detector blames the providers it has direct evidence against.  {!run}
+    is the strict projection: it raises when the run does not complete. *)
 
 open Eppi_prelude
 
-type result = {
-  coordinator_shares : int array array;  (** c x n: s(r, j). *)
-  net : Eppi_simnet.Simnet.metrics;
-  retransmissions : int;  (** Data messages resent by the reliability layer. *)
-}
-
-(** Loss handling for the share and super-share messages.  With a lossy
-    {!Eppi_simnet.Simnet.config} the bare protocol cannot complete (a
-    missing share silently corrupts the sum, so the run fails fast
-    instead); [reliability] adds a stop-and-wait layer — every data message
-    is acknowledged, deduplicated at the receiver, and resent after
-    [ack_timeout], backing off exponentially, up to [max_retries] times. *)
-type reliability = {
-  ack_timeout : float;  (** Seconds before the first resend. *)
-  max_retries : int;
-  backoff : float;  (** Timeout multiplier per retry. *)
-  max_timeout : float;  (** Cap on the backed-off timeout. *)
-}
-
-val default_reliability : reliability
+val default_reliability : Eppi_simnet.Transport.reliability
 (** 10 ms initial timeout, x2 backoff capped at 80 ms, 25 retries: survives
-    heavy simulated loss on a LAN. *)
-
-val run :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?reliability:reliability ->
-  Rng.t ->
-  inputs:int array array ->
-  c:int ->
-  q:Modarith.modulus ->
-  result
-(** [inputs.(i).(j)] is provider i's private value for identity j (all
-    providers must supply equally long vectors with values in [0, q)).
-    @raise Invalid_argument on shape violations or [m < c] or [c < 2].
-    @raise Failure if messages were lost and either no [reliability] layer
-    was configured or its retry budget was exhausted. *)
-
-(** {1 Fault-tolerant variant} *)
-
-(** What the failure detector saw. *)
-type report = {
-  suspects : int list;
-      (** Providers blamed with direct evidence: an exhausted
-          retransmission budget toward them, their share vectors missing at
-          a provider's deadline, or their super-share missing at a
-          coordinator's deadline while they themselves were not stalled. *)
-  stalled : int list;
-      (** Live victims: providers that missed their deadline because a
-          predecessor failed.  Never counted as suspects without direct
-          evidence — excluding them would punish survivors. *)
-  retransmissions : int;
-  duplicates : int;  (** Received copies suppressed by deduplication. *)
-  protocol_time : float;
-      (** Sim time of the last fresh protocol progress (completion instant
-          when complete); excludes trailing retransmission timers. *)
-  net : Eppi_simnet.Simnet.metrics;
-}
+    heavy simulated loss on a LAN.  The 0.25 s deadline is the failure
+    detector's horizon: providers check for missing shares at [deadline],
+    coordinators for missing super-shares at [2 * deadline]. *)
 
 type ft_result = {
   shares : int array array option;
-      (** [Some] iff every coordinator received every expected super-share;
-          then the value equals what {!run} would return. *)
-  report : report;
+      (** [Some] iff every coordinator received every expected
+          super-share: c x n, s(r, j). *)
+  stalled : int list;
+      (** Live victims: providers that missed their deadline because a
+          predecessor failed.  Never blamed without direct evidence —
+          excluding them would punish survivors. *)
+  report : Eppi_simnet.Transport.stats;
+      (** [suspects] are the providers blamed with direct evidence: an
+          exhausted retransmission budget toward them, their share vectors
+          missing at a provider's deadline, or their super-share missing at
+          a coordinator's deadline while they themselves were not
+          stalled. *)
 }
 
 val run_ft :
-  ?config:Eppi_simnet.Simnet.config ->
-  ?plan:Eppi_simnet.Simnet.fault_plan ->
-  ?reliability:reliability ->
-  ?deadline:float ->
+  ?transport:Eppi_simnet.Transport.t ->
   Rng.t ->
   inputs:int array array ->
   c:int ->
   q:Modarith.modulus ->
   ft_result
-(** Like {!run} under the given fault plan, with the reliability layer
-    always on.  [deadline] (default 0.25 s) is the failure-detector
-    horizon: providers check for missing shares at [deadline], coordinators
-    for missing super-shares at [2 * deadline].
-    @raise Invalid_argument on shape violations, [m < c], [c < 2], or a
-    non-positive deadline. *)
+(** [inputs.(i).(j)] is provider i's private value for identity j (all
+    providers must supply equally long vectors with values in [0, q)).
+    [transport] defaults to {!Eppi_simnet.Transport.bare}.
+    @raise Invalid_argument on shape violations, [m < c] or [c < 2]. *)
+
+type result = {
+  coordinator_shares : int array array;  (** c x n: s(r, j). *)
+  net : Eppi_simnet.Simnet.metrics;
+  retransmissions : int;  (** Data messages resent by the reliable transport. *)
+}
+
+val run :
+  ?transport:Eppi_simnet.Transport.t ->
+  Rng.t ->
+  inputs:int array array ->
+  c:int ->
+  q:Modarith.modulus ->
+  result
+(** {!run_ft}, required to complete.
+    @raise Invalid_argument as {!run_ft}.
+    @raise Failure if a coordinator is missing super-shares. *)
 
 val reconstruct : q:Modarith.modulus -> int array array -> int array
 (** Element-wise sum of the coordinator share vectors — the plain sums the

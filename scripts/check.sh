@@ -422,5 +422,19 @@ for key in ("provider_crash", "coordinator_crash"):
 print("BENCH_chaos.json well-formed: loss masked, crashes degraded gracefully")
 EOF
 fi
+# The same contract through the CLI: a completed `construct --drop` writes
+# the same bytes as `construct --secure` at the same seed.  At epsilon 0.3
+# lambda < 1, so the file depends on every protocol stream.
+CHAOS_DIR=$(mktemp -d /tmp/eppi_chaos_smoke.XXXXXX)
+trap 'rm -rf "$CHAOS_DIR"' EXIT
+"$EPPI" generate --owners 120 --providers 40 --seed 3 --epsilon 0.3 \
+  -o "$CHAOS_DIR/net.csv" >/dev/null
+"$EPPI" construct -d "$CHAOS_DIR/net.csv" --secure --seed 5 -o "$CHAOS_DIR/clean.eppi" 2>/dev/null
+"$EPPI" construct -d "$CHAOS_DIR/net.csv" --secure --seed 5 --drop 0.05 \
+  -o "$CHAOS_DIR/lossy.eppi" 2>/dev/null
+cmp "$CHAOS_DIR/clean.eppi" "$CHAOS_DIR/lossy.eppi"
+echo "chaos cli ok: construct --drop 0.05 is byte-identical to construct --secure"
+rm -rf "$CHAOS_DIR"
+trap - EXIT
 
 echo "== check.sh: all green =="

@@ -166,6 +166,34 @@ let test_republish_corrupt () =
       Alcotest.(check string) "a good file still installs" "generation 2\n"
         (eppi_ok [ "republish"; "--connect"; sock; "-i"; path "b.eppi" ]))
 
+(* A completed lossy secure construction writes the same bytes as the
+   fault-free one at the same seed.  At ε = 0.3 some identities are common
+   and λ < 1, so the decoy draws and every β < 1 depend on the seed's
+   streams: a run that split them differently would write another file. *)
+let test_drop_is_bit_identical () =
+  ignore
+    (eppi_ok
+       [ "generate"; "--owners"; "120"; "--providers"; "40"; "--seed"; "3"; "--epsilon"; "0.3";
+         "-o"; path "lossy.csv" ]);
+  let construct extra out =
+    let status, _, err =
+      eppi ([ "construct"; "-d"; path "lossy.csv"; "--secure"; "--seed"; "5"; "-o"; path out ] @ extra)
+    in
+    check_int ("construct " ^ String.concat " " extra) 0 status;
+    err
+  in
+  let clean = construct [] "clean.eppi" in
+  let lossy = construct [ "--drop"; "0.05" ] "lossy.eppi" in
+  let lambda =
+    let i = String.length clean - String.length "0.0000\n" in
+    float_of_string (String.sub clean i 6)
+  in
+  check_bool (Printf.sprintf "lambda %g < 1" lambda) true (lambda < 1.0);
+  check_bool "the lossy run completed" true (contains lossy "(complete)");
+  check_bool "the lossy run retransmitted" false (contains lossy " 0+0 retransmissions");
+  check_bool "identical index files" true
+    (read_file (path "clean.eppi") = read_file (path "lossy.eppi"))
+
 let () =
   Alcotest.run "cli"
     [
@@ -175,5 +203,10 @@ let () =
             test_artifact_and_export;
           Alcotest.test_case "bad files exit 1 with a typed error" `Quick test_bad_files;
           Alcotest.test_case "republish of a corrupt file" `Quick test_republish_corrupt;
+        ] );
+      ( "construct",
+        [
+          Alcotest.test_case "--drop output is bit-identical to the fault-free run" `Quick
+            test_drop_is_bit_identical;
         ] );
     ]

@@ -6,6 +6,7 @@
 open Eppi_prelude
 open Eppi_protocol
 module Simnet = Eppi_simnet.Simnet
+module Transport = Eppi_simnet.Transport
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -14,6 +15,13 @@ let q97 = Modarith.modulus 97
 
 let random_inputs rng ~m ~n ~max =
   Array.init m (fun _ -> Array.init n (fun _ -> Rng.int rng max))
+
+let drop_plan ?(seed = 21) drop =
+  { Simnet.no_faults with fault_seed = seed; default_link = { Simnet.perfect_link with drop } }
+
+(* The bare and the reliable transport under a fault plan. *)
+let bare plan = { Transport.bare with plan = Some plan }
+let reliable r plan = { Transport.bare with plan = Some plan; reliability = Some r }
 
 (* ---------- SecSumShare ---------- *)
 
@@ -94,22 +102,21 @@ let test_secsumshare_coordinator_shares_look_random () =
 let test_secsumshare_lossy_fails_fast () =
   (* Without a reliability layer, a lossy network must fail loudly, never
      return a corrupted sum. *)
-  let config = { Simnet.default_config with drop_probability = 0.4; seed = 5 } in
   let rng = Rng.create 50 in
   let inputs = random_inputs rng ~m:10 ~n:4 ~max:2 in
-  match Secsumshare.run ~config rng ~inputs ~c:3 ~q:q97 with
+  match Secsumshare.run ~transport:(bare (drop_plan ~seed:5 0.4)) rng ~inputs ~c:3 ~q:q97 with
   | _ -> Alcotest.fail "expected a failure on a lossy network"
   | exception Failure _ -> ()
 
 let test_secsumshare_reliable_on_lossy_network () =
   (* With acks + retransmission the sums are exact despite 30% loss. *)
-  let config = { Simnet.default_config with drop_probability = 0.3; seed = 7 } in
   let rng = Rng.create 51 in
   let m = 12 and n = 6 in
   let inputs = random_inputs rng ~m ~n ~max:2 in
   let r =
-    Secsumshare.run ~config ~reliability:Secsumshare.default_reliability rng ~inputs ~c:3
-      ~q:q97
+    Secsumshare.run
+      ~transport:(reliable Secsumshare.default_reliability (drop_plan ~seed:7 0.3))
+      rng ~inputs ~c:3 ~q:q97
   in
   let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
   for j = 0 to n - 1 do
@@ -122,20 +129,21 @@ let test_secsumshare_reliable_no_loss_no_retransmit () =
   let rng = Rng.create 52 in
   let inputs = random_inputs rng ~m:9 ~n:3 ~max:2 in
   let r =
-    Secsumshare.run ~reliability:Secsumshare.default_reliability rng ~inputs ~c:3 ~q:q97
+    Secsumshare.run ~transport:(reliable Secsumshare.default_reliability Simnet.no_faults) rng
+      ~inputs ~c:3 ~q:q97
   in
   check_int "no retransmissions on a clean network" 0 r.retransmissions
 
 let test_secsumshare_reliable_across_seeds () =
   (* Determinized stress: several loss seeds, all must converge exactly. *)
   for seed = 1 to 10 do
-    let config = { Simnet.default_config with drop_probability = 0.25; seed } in
     let rng = Rng.create (100 + seed) in
     let m = 8 and n = 3 in
     let inputs = random_inputs rng ~m ~n ~max:2 in
     let r =
-      Secsumshare.run ~config ~reliability:Secsumshare.default_reliability rng ~inputs ~c:3
-        ~q:q97
+      Secsumshare.run
+        ~transport:(reliable Secsumshare.default_reliability (drop_plan ~seed 0.25))
+        rng ~inputs ~c:3 ~q:q97
     in
     let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
     for j = 0 to n - 1 do
@@ -149,14 +157,9 @@ let test_secsumshare_crashed_provider_fails_fast () =
      rather than deliver a silently-wrong sum. *)
   let rng = Rng.create 53 in
   let inputs = random_inputs rng ~m:8 ~n:3 ~max:2 in
-  let config = { Simnet.default_config with drop_probability = 0.0 } in
-  (* Crash node 5 before anything runs by injecting 100% loss toward it via
-     a wrapper: simplest faithful injection is a config with loss and no
-     reliability; the dedicated crash API is tested at the simnet level, so
-     here we emulate a dead provider with certain loss. *)
-  ignore config;
-  let lossy = { Simnet.default_config with drop_probability = 0.9; seed = 3 } in
-  match Secsumshare.run ~config:lossy rng ~inputs ~c:3 ~q:q97 with
+  (* Provider 5 fail-stops before anything runs, on the bare transport. *)
+  let plan = { Simnet.no_faults with crashes = [ (0.0, 5) ] } in
+  match Secsumshare.run ~transport:(bare plan) rng ~inputs ~c:3 ~q:q97 with
   | _ -> Alcotest.fail "expected failure"
   | exception Failure _ -> ()
 
@@ -318,7 +321,7 @@ let test_countbelow_simnet_transport () =
     freqs;
   let model = Countbelow.run (Rng.create 81) ~shares ~q ~thresholds in
   let networked =
-    Countbelow.run ~transport:(`Simnet Simnet.default_config) (Rng.create 82) ~shares ~q
+    Countbelow.run ~transport:(`Simnet Transport.bare) (Rng.create 82) ~shares ~q
       ~thresholds
   in
   Alcotest.(check (array bool)) "same classification" model.common networked.common;
@@ -484,9 +487,6 @@ let test_beta_phase_estimate_monotone () =
 
 (* ---------- Fault tolerance: reliable transport + degradation ---------- *)
 
-let drop_plan ?(seed = 21) drop =
-  { Simnet.no_faults with fault_seed = seed; default_link = { Simnet.perfect_link with drop } }
-
 let countbelow_fixture seed =
   (* A small count_below instance shared by the mpcnet reliability tests. *)
   let q = 13 in
@@ -506,25 +506,70 @@ let countbelow_fixture seed =
   in
   (compiled, inputs, rng)
 
+(* Pins the fault-free path that [construct --secure] takes: index bytes,
+   traffic, simulated times and circuit shape.  A change to the stream
+   layout, the message accounting or the timing model shows here first.
+   Hex float literals compare exactly. *)
+let test_fault_free_golden () =
+  let membership = make_matrix ~m:30 ~freqs:(Array.init 40 (fun j -> 1 + (j * 7 mod 29))) in
+  let epsilons = Array.init 40 (fun j -> 0.1 +. (0.1 *. float_of_int (j mod 5))) in
+  let r = Construct.run (Rng.create 2014) ~membership ~epsilons ~policy:Eppi.Policy.Basic in
+  Alcotest.(check string) "index bytes" "9cea2ea5edfc487db4e4481a8d3d6ab1"
+    (Digest.to_hex (Digest.string (Eppi_net.Index_codec.encode r.index)));
+  Alcotest.(check (float 0.0)) "lambda below 1" 0x1.b6db6db6db6dbp-2 r.lambda;
+  let mt = r.metrics in
+  check_int "messages" 1668 mt.messages;
+  check_int "bytes" 21900 mt.bytes;
+  Alcotest.(check (float 0.0)) "secsumshare time" 0x1.0d260349e175ap-10 mt.secsumshare_time;
+  Alcotest.(check (float 0.0)) "mpc time" 0x1.f6197f986693bp+3 mt.mpc_time;
+  Alcotest.(check (float 0.0)) "total time" 0x1.f621ea76000c7p+3 mt.total_time;
+  let s = mt.circuit_stats in
+  Alcotest.(check (list int)) "circuit stats" [ 8592; 2920; 4688; 984; 720; 22 ]
+    [ s.size; s.and_gates; s.xor_gates; s.not_gates; s.inputs; s.and_depth ];
+  let compiled, inputs, rng = countbelow_fixture 72 in
+  let e = Mpcnet.execute rng compiled.circuit ~inputs in
+  check_int "gmw rounds" 20 e.rounds;
+  Alcotest.(check (list int)) "gmw net counts" [ 120; 120; 0; 0; 2244 ]
+    [
+      e.net.messages_sent;
+      e.net.messages_delivered;
+      e.net.messages_dropped;
+      e.net.messages_duplicated;
+      e.net.bytes_sent;
+    ];
+  Alcotest.(check (float 0.0)) "gmw completion time" 0x1.8ded40b5a7c1fp-3 e.net.completion_time;
+  let inputs = Array.init 9 (fun i -> Array.init 4 (fun j -> (i + j) mod 2)) in
+  let sss = Secsumshare.run (Rng.create 5) ~inputs ~c:3 ~q:q97 in
+  Alcotest.(check (list int)) "secsumshare net counts" [ 27; 27; 864 ]
+    [ sss.net.messages_sent; sss.net.messages_delivered; sss.net.bytes_sent ];
+  Alcotest.(check (float 0.0)) "secsumshare completion time" 0x1.067ac36aa361ep-10
+    sss.net.completion_time;
+  Alcotest.(check (array (array int))) "coordinator shares"
+    [| [| 67; 78; 82; 17 |]; [| 80; 16; 85; 26 |]; [| 51; 8; 31; 59 |] |]
+    sss.coordinator_shares
+
 let test_mpcnet_reliable_matches_lossless () =
   (* 10% loss on every link: the run must complete with outputs bit-identical
      to the lossless engine, paid for in retransmissions. *)
   let compiled, inputs, rng = countbelow_fixture 72 in
   let lossless = Mpcnet.execute rng compiled.circuit ~inputs in
   let _, inputs2, rng2 = countbelow_fixture 72 in
-  let r = Mpcnet.execute_reliable ~plan:(drop_plan 0.1) rng2 compiled.circuit ~inputs:inputs2 in
+  let r = Mpcnet.execute_ft
+      ~transport:(reliable Mpcnet.default_reliability (drop_plan 0.1))
+      rng2 compiled.circuit ~inputs:inputs2 in
   (match r.outcome with
   | Mpcnet.Outputs outs ->
       Alcotest.(check (array bool)) "bit-identical outputs" lossless.outputs outs
   | Mpcnet.Parties_failed dead ->
       Alcotest.failf "stalled, blamed %s" (String.concat "," (List.map string_of_int dead)));
-  check_bool "paid in retransmissions" true (r.retransmissions > 0);
+  check_bool "paid in retransmissions" true (r.report.retransmissions > 0);
   check_bool "some rounds retried" true (r.retried_rounds > 0)
 
 let test_mpcnet_reliable_crash_detected () =
   let compiled, inputs, rng = countbelow_fixture 72 in
   let plan = { Simnet.no_faults with crashes = [ (0.001, 1) ] } in
-  let r = Mpcnet.execute_reliable ~plan rng compiled.circuit ~inputs in
+  let r = Mpcnet.execute_ft ~transport:(reliable Mpcnet.default_reliability plan) rng compiled.circuit
+      ~inputs in
   match r.outcome with
   | Mpcnet.Outputs _ -> Alcotest.fail "completed despite a crashed party"
   | Mpcnet.Parties_failed dead -> Alcotest.(check (list int)) "blames exactly party 1" [ 1 ] dead
@@ -539,25 +584,29 @@ let test_mpcnet_reliable_duplicates_suppressed () =
       default_link = { Simnet.perfect_link with duplicate = 0.5; reorder = 0.3 };
     }
   in
-  let r = Mpcnet.execute_reliable ~plan rng2 compiled.circuit ~inputs:inputs2 in
+  let r = Mpcnet.execute_ft ~transport:(reliable Mpcnet.default_reliability plan) rng2
+      compiled.circuit ~inputs:inputs2 in
   (match r.outcome with
   | Mpcnet.Outputs outs -> Alcotest.(check (array bool)) "unperturbed" lossless.outputs outs
   | Mpcnet.Parties_failed _ -> Alcotest.fail "duplication must not stall the run");
-  check_bool "duplicates suppressed" true (r.duplicates > 0)
+  check_bool "duplicates suppressed" true (r.report.duplicates > 0)
 
 let test_mpcnet_reliable_deterministic () =
   (* Same fault-plan seed => identical traffic, retransmission schedule and
      outputs, event for event. *)
   let go () =
     let compiled, inputs, rng = countbelow_fixture 72 in
-    Mpcnet.execute_reliable ~plan:(drop_plan ~seed:9 0.15) rng compiled.circuit ~inputs
+    Mpcnet.execute_ft
+      ~transport:(reliable Mpcnet.default_reliability (drop_plan ~seed:9 0.15))
+      rng compiled.circuit ~inputs
   in
   let a = go () and b = go () in
-  check_int "same retransmissions" a.retransmissions b.retransmissions;
-  check_int "same duplicates" a.duplicates b.duplicates;
-  check_int "same messages" a.net.messages_sent b.net.messages_sent;
-  check_int "same drops" a.net.messages_dropped b.net.messages_dropped;
-  Alcotest.(check (float 0.0)) "same protocol time" a.protocol_time b.protocol_time;
+  check_int "same retransmissions" a.report.retransmissions b.report.retransmissions;
+  check_int "same duplicates" a.report.duplicates b.report.duplicates;
+  check_int "same messages" a.report.net.messages_sent b.report.net.messages_sent;
+  check_int "same drops" a.report.net.messages_dropped b.report.net.messages_dropped;
+  Alcotest.(check (float 0.0)) "same protocol time" a.report.protocol_time
+    b.report.protocol_time;
   match (a.outcome, b.outcome) with
   | Mpcnet.Outputs oa, Mpcnet.Outputs ob -> Alcotest.(check (array bool)) "same outputs" oa ob
   | _ -> Alcotest.fail "expected both runs to complete"
@@ -566,7 +615,9 @@ let test_secsumshare_ft_complete_under_loss () =
   let rng = Rng.create 31 in
   let m = 10 and n = 6 in
   let inputs = random_inputs rng ~m ~n ~max:2 in
-  let r = Secsumshare.run_ft ~plan:(drop_plan 0.1) rng ~inputs ~c:3 ~q:q97 in
+  let r = Secsumshare.run_ft
+      ~transport:(reliable Secsumshare.default_reliability (drop_plan 0.1))
+      rng ~inputs ~c:3 ~q:q97 in
   match r.shares with
   | None -> Alcotest.fail "10% loss must be survivable"
   | Some shares ->
@@ -586,10 +637,11 @@ let test_secsumshare_ft_crash_blames_only_the_dead () =
   let m = 8 and n = 4 in
   let inputs = random_inputs rng ~m ~n ~max:2 in
   let plan = { Simnet.no_faults with crashes = [ (0.0, 4) ] } in
-  let r = Secsumshare.run_ft ~plan rng ~inputs ~c:3 ~q:q97 in
+  let r = Secsumshare.run_ft ~transport:(reliable Secsumshare.default_reliability plan) rng
+      ~inputs ~c:3 ~q:q97 in
   check_bool "incomplete" true (r.shares = None);
   Alcotest.(check (list int)) "blames exactly provider 4" [ 4 ] r.report.suspects;
-  Alcotest.(check (list int)) "successors stalled, not suspected" [ 5; 6 ] r.report.stalled
+  Alcotest.(check (list int)) "successors stalled, not suspected" [ 5; 6 ] r.stalled
 
 let ft_epsilons = [| 0.5; 0.6; 0.3; 0.8; 0.9 |]
 let ft_freqs = [| 2; 28; 9; 15; 1 |]
@@ -611,6 +663,21 @@ let test_construct_ft_clean_is_complete () =
           (Rng.create 41)
       in
       Alcotest.(check (array bool)) "same common classification" reference.is_common r.common
+
+let test_construct_ft_no_plans_is_run () =
+  (* Without fault plans the attempt loop is the fault-free construction:
+     same seed, same streams, same index and betas. *)
+  let m = 30 in
+  let membership = make_matrix ~m ~freqs:(Array.init 40 (fun j -> 1 + (j * 7 mod 29))) in
+  let epsilons = Array.init 40 (fun j -> 0.1 +. (0.1 *. float_of_int (j mod 5))) in
+  let policy = Eppi.Policy.Basic in
+  let plain = Construct.run (Rng.create 46) ~membership ~epsilons ~policy in
+  match Construct.run_ft (Rng.create 46) ~membership ~epsilons ~policy with
+  | Construct.Complete (r, _) ->
+      Alcotest.(check (array (float 0.0))) "same betas" plain.betas r.betas;
+      check_bool "same index" true
+        (Bitmatrix.equal (Eppi.Index.matrix plain.index) (Eppi.Index.matrix r.index))
+  | _ -> Alcotest.fail "a fault-free run must complete"
 
 let test_construct_ft_loss_bit_identical () =
   (* The acceptance invariant: 10% loss in both phases, same construction
@@ -815,6 +882,7 @@ let () =
           Alcotest.test_case "epsilon grid consistency" `Quick
             test_construct_epsilon_grid_consistency;
           Alcotest.test_case "phase estimate monotone" `Quick test_beta_phase_estimate_monotone;
+          Alcotest.test_case "fault-free path golden" `Quick test_fault_free_golden;
         ] );
       ( "fault tolerance",
         [
@@ -832,6 +900,8 @@ let () =
             test_secsumshare_ft_crash_blames_only_the_dead;
           Alcotest.test_case "construct ft clean run is Complete" `Quick
             test_construct_ft_clean_is_complete;
+          Alcotest.test_case "construct ft without plans is run" `Quick
+            test_construct_ft_no_plans_is_run;
           Alcotest.test_case "construct ft loss is bit-identical" `Quick
             test_construct_ft_loss_bit_identical;
           Alcotest.test_case "construct ft crash degrades" `Quick
