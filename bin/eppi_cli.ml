@@ -259,6 +259,11 @@ let construct_cmd =
       Printf.eprintf "--drop/--crash need --secure\n";
       exit 2
     end;
+    let providers = Eppi_prelude.Bitmatrix.cols dataset.membership in
+    if secure && (c < 2 || providers < c) then begin
+      Printf.eprintf "--secure needs 2 <= c <= providers (c = %d, %d providers)\n" c providers;
+      exit 2
+    end;
     with_trace trace @@ fun () ->
     let index =
       if secure then begin

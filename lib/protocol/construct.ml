@@ -116,11 +116,7 @@ let remap_plan (plan : Simnet.fault_plan) ~survivors ~nodes =
 (* A stage under a fault plan runs on the reliable transport, with the
    plan projected onto the attempt's survivors. *)
 let reliable plan reliability ~survivors ~nodes =
-  {
-    Transport.bare with
-    plan = Some (remap_plan plan ~survivors ~nodes);
-    reliability = Some reliability;
-  }
+  { Transport.plan = Some (remap_plan plan ~survivors ~nodes); reliability = Some reliability }
 
 (* Survivor-column view of the membership matrix. *)
 let submatrix membership survivors =
@@ -160,6 +156,8 @@ let run_ft ?sss_plan ?mpc_plan ?(max_attempts = 3) ?network ?transport ?pool ?st
   let m = Bitmatrix.cols membership in
   if Array.length epsilons <> n then
     invalid_arg "Protocol.Construct.run: epsilons length mismatch";
+  if c < 2 then invalid_arg "Protocol.Construct.run: need c >= 2";
+  if m < c then invalid_arg "Protocol.Construct.run: need at least c providers";
   let the_pool = match pool with Some p -> p | None -> Pool.sequential in
   let sss_retrans = ref 0 in
   let mpc_retrans = ref 0 in

@@ -47,7 +47,7 @@ val modulus_for : int -> Modarith.modulus
     One body, {!run_ft}, runs the attempt loop; {!run} is its fault-free
     projection.  Without fault plans both stages run on their fault-free
     transports: SecSumShare on the bare {!Eppi_simnet.Transport}, CountBelow
-    on [transport] (see {!Countbelow.run}).  A fault plan moves its stage
+    on [transport] (see {!Countbelow.run_ft}).  A fault plan moves its stage
     onto the reliable transport with that layer's default reliability, and
     detected provider failures turn into graceful degradation: when the
     failure detector declares providers dead, the whole β phase is re-run

@@ -254,7 +254,7 @@ let run_ft ?(network = Cost.lan) ?(transport = `Cost_model) ?(pool = Pool.sequen
       let r = run_sharded ~network ~pool rng ~shares ~q ~c ~n ~clamped in
       { outcome = `Done r; retransmissions = 0; duplicates = 0; retried_rounds = 0 }
 
-let run ?network ?transport ?pool ?strategy rng ~shares ~q ~thresholds =
-  match (run_ft ?network ?transport ?pool ?strategy rng ~shares ~q ~thresholds).outcome with
+let run ?network ?pool ?strategy rng ~shares ~q ~thresholds =
+  match (run_ft ?network ?pool ?strategy rng ~shares ~q ~thresholds).outcome with
   | `Done r -> r
-  | `Coordinators_failed _ -> failwith "Countbelow.run: the MPC did not complete (lossy network?)"
+  | `Coordinators_failed _ -> failwith "Countbelow.run: the cost model cannot stall"

@@ -13,8 +13,8 @@
     "frequency >= threshold" is {i exactly} "β* >= 1": the protocol and the
     centralized reference classify identities identically (tested).
 
-    {!run_ft} is the one body over every transport; {!run} is its strict
-    projection, raising when the MPC stalls. *)
+    {!run_ft} is the one body over every transport; {!run} is its
+    projection under the cost model. *)
 
 open Eppi_prelude
 
@@ -94,7 +94,6 @@ val run_ft :
 
 val run :
   ?network:Eppi_mpc.Cost.network ->
-  ?transport:transport ->
   ?pool:Pool.t ->
   ?strategy:strategy ->
   Rng.t ->
@@ -102,6 +101,5 @@ val run :
   q:Modarith.modulus ->
   thresholds:int array ->
   result
-(** {!run_ft}, required to complete.
-    @raise Invalid_argument as {!run_ft}.
-    @raise Failure if the MPC stalls. *)
+(** {!run_ft} under the cost model, which always completes.
+    @raise Invalid_argument as {!run_ft}. *)

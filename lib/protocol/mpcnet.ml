@@ -233,8 +233,8 @@ let execute_ft ?(transport = Transport.bare) rng circuit ~inputs =
   let retried = List.map (fun k -> k.round) (Transport.retried net) in
   { outcome; rounds; retried_rounds = List.length (List.sort_uniq compare retried); report }
 
-let execute ?transport rng circuit ~inputs =
-  match execute_ft ?transport rng circuit ~inputs with
+let execute rng circuit ~inputs =
+  match execute_ft rng circuit ~inputs with
   | { outcome = Outputs outputs; rounds; report; _ } -> { outputs; rounds; net = report.net }
   | { outcome = Parties_failed _; _ } ->
       failwith "Mpcnet.execute: protocol did not complete (lossy network?)"

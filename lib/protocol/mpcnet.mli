@@ -21,7 +21,7 @@
     entering the round blames the parties that owe them.  Because the
     dealer draws all randomness before the network exists, a run that
     completes produces outputs bit-identical to the lossless run with the
-    same rng.  {!execute} is the strict projection. *)
+    same rng.  {!execute} is the strict projection on the bare transport. *)
 
 open Eppi_prelude
 open Eppi_circuit
@@ -58,8 +58,7 @@ type result = {
   net : Eppi_simnet.Simnet.metrics;
 }
 
-val execute :
-  ?transport:Eppi_simnet.Transport.t -> Rng.t -> Circuit.t -> inputs:bool array array -> result
-(** {!execute_ft}, required to complete.
+val execute : Rng.t -> Circuit.t -> inputs:bool array array -> result
+(** {!execute_ft} on the bare transport, required to complete.
     @raise Invalid_argument as {!execute_ft}.
     @raise Failure if the run stalls. *)

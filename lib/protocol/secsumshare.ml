@@ -25,7 +25,6 @@ type ft_result = {
 type result = {
   coordinator_shares : int array array;
   net : Simnet.metrics;
-  retransmissions : int;
 }
 
 (* Rough wire size: 4 bytes per residue plus a small envelope. *)
@@ -148,10 +147,10 @@ let run_ft ?(transport = Transport.bare) rng ~inputs ~c ~q =
     report = Transport.stats net;
   }
 
-let run ?transport rng ~inputs ~c ~q =
-  match run_ft ?transport rng ~inputs ~c ~q with
+let run rng ~inputs ~c ~q =
+  match run_ft rng ~inputs ~c ~q with
   | { shares = Some coordinator_shares; report; _ } ->
-      { coordinator_shares; net = report.net; retransmissions = report.retransmissions }
+      { coordinator_shares; net = report.net }
   | { shares = None; _ } ->
       failwith "Secsumshare.run: a coordinator is missing super-shares (lossy network?)"
 

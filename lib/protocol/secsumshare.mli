@@ -28,7 +28,8 @@
     rather than corrupting the sum.  On the reliable transport every
     message is acknowledged and resent until it arrives, and a failure
     detector blames the providers it has direct evidence against.  {!run}
-    is the strict projection: it raises when the run does not complete. *)
+    is the strict projection on the bare transport: it raises when the run
+    does not complete. *)
 
 open Eppi_prelude
 
@@ -69,17 +70,10 @@ val run_ft :
 type result = {
   coordinator_shares : int array array;  (** c x n: s(r, j). *)
   net : Eppi_simnet.Simnet.metrics;
-  retransmissions : int;  (** Data messages resent by the reliable transport. *)
 }
 
-val run :
-  ?transport:Eppi_simnet.Transport.t ->
-  Rng.t ->
-  inputs:int array array ->
-  c:int ->
-  q:Modarith.modulus ->
-  result
-(** {!run_ft}, required to complete.
+val run : Rng.t -> inputs:int array array -> c:int -> q:Modarith.modulus -> result
+(** {!run_ft} on the bare transport, required to complete.
     @raise Invalid_argument as {!run_ft}.
     @raise Failure if a coordinator is missing super-shares. *)
 

@@ -7,12 +7,11 @@ type reliability = {
 }
 
 type t = {
-  config : Simnet.config;
   plan : Simnet.fault_plan option;
   reliability : reliability option;
 }
 
-let bare = { config = Simnet.default_config; plan = None; reliability = None }
+let bare = { plan = None; reliability = None }
 
 type ('key, 'msg) packet = Data of 'key * 'msg | Ack of 'key
 
@@ -33,7 +32,7 @@ let ack_size = 16
 
 let create (t : t) ~nodes =
   {
-    sim = Simnet.create ~config:t.config ?plan:t.plan ~nodes ();
+    sim = Simnet.create ?plan:t.plan ~nodes ();
     reliability = t.reliability;
     seen = Hashtbl.create 64;
     acked = Hashtbl.create 64;

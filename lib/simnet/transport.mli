@@ -29,13 +29,12 @@ type reliability = {
 }
 
 type t = {
-  config : Simnet.config;
   plan : Simnet.fault_plan option;  (** Faults injected into the network. *)
   reliability : reliability option;  (** [None] is the bare transport. *)
 }
 
 val bare : t
-(** {!Simnet.default_config}, no faults, no reliability. *)
+(** No faults, no reliability. *)
 
 (** {1 Running a protocol} *)
 
@@ -44,6 +43,8 @@ type ('key, 'msg) net
     sends each key at most once (the transport's resends reuse it). *)
 
 val create : t -> nodes:int -> ('key, 'msg) net
+(** A fresh {!Simnet} network of [nodes] nodes on
+    {!Simnet.default_config}. *)
 
 val on_receive : ('key, 'msg) net -> int -> (src:int -> 'key -> 'msg -> unit) -> unit
 (** Install a node's handler.  It sees each key once; copies are counted

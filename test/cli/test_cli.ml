@@ -194,6 +194,21 @@ let test_drop_is_bit_identical () =
   check_bool "identical index files" true
     (read_file (path "clean.eppi") = read_file (path "lossy.eppi"))
 
+(* More coordinators than providers is a usage error, with or without
+   faults, not an uncaught exception. *)
+let test_too_few_providers () =
+  Lazy.force fixture;
+  List.iter
+    (fun extra ->
+      let what = String.concat " " ("--secure -c 30" :: extra) in
+      let status, _, err =
+        eppi ([ "construct"; "-d"; path "net.csv"; "--secure"; "-c"; "30" ] @ extra)
+      in
+      check_int (what ^ " exits 2") 2 status;
+      check_bool (what ^ " says why") true (contains err "24 providers");
+      check_bool (what ^ " raises nothing") false (contains err "exception"))
+    [ []; [ "--drop"; "0.05" ] ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -208,5 +223,6 @@ let () =
         [
           Alcotest.test_case "--drop output is bit-identical to the fault-free run" `Quick
             test_drop_is_bit_identical;
+          Alcotest.test_case "too few providers for c" `Quick test_too_few_providers;
         ] );
     ]

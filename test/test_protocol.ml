@@ -20,8 +20,12 @@ let drop_plan ?(seed = 21) drop =
   { Simnet.no_faults with fault_seed = seed; default_link = { Simnet.perfect_link with drop } }
 
 (* The bare and the reliable transport under a fault plan. *)
-let bare plan = { Transport.bare with plan = Some plan }
-let reliable r plan = { Transport.bare with plan = Some plan; reliability = Some r }
+let bare plan = { Transport.plan = Some plan; reliability = None }
+let reliable r plan = { Transport.plan = Some plan; reliability = Some r }
+
+(* A SecSumShare run that must complete: its coordinator shares. *)
+let sss_shares (r : Secsumshare.ft_result) =
+  match r.shares with Some shares -> shares | None -> Alcotest.fail "SecSumShare stalled"
 
 (* ---------- SecSumShare ---------- *)
 
@@ -104,9 +108,8 @@ let test_secsumshare_lossy_fails_fast () =
      return a corrupted sum. *)
   let rng = Rng.create 50 in
   let inputs = random_inputs rng ~m:10 ~n:4 ~max:2 in
-  match Secsumshare.run ~transport:(bare (drop_plan ~seed:5 0.4)) rng ~inputs ~c:3 ~q:q97 with
-  | _ -> Alcotest.fail "expected a failure on a lossy network"
-  | exception Failure _ -> ()
+  let r = Secsumshare.run_ft ~transport:(bare (drop_plan ~seed:5 0.4)) rng ~inputs ~c:3 ~q:q97 in
+  check_bool "incomplete on a lossy network" true (r.shares = None)
 
 let test_secsumshare_reliable_on_lossy_network () =
   (* With acks + retransmission the sums are exact despite 30% loss. *)
@@ -114,25 +117,26 @@ let test_secsumshare_reliable_on_lossy_network () =
   let m = 12 and n = 6 in
   let inputs = random_inputs rng ~m ~n ~max:2 in
   let r =
-    Secsumshare.run
+    Secsumshare.run_ft
       ~transport:(reliable Secsumshare.default_reliability (drop_plan ~seed:7 0.3))
       rng ~inputs ~c:3 ~q:q97
   in
-  let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
+  let sums = Secsumshare.reconstruct ~q:q97 (sss_shares r) in
   for j = 0 to n - 1 do
     let expected = Array.fold_left (fun acc row -> acc + row.(j)) 0 inputs in
     check_int (Printf.sprintf "identity %d survives loss" j) expected sums.(j)
   done;
-  check_bool "retransmissions happened" true (r.retransmissions > 0)
+  check_bool "retransmissions happened" true (r.report.retransmissions > 0)
 
 let test_secsumshare_reliable_no_loss_no_retransmit () =
   let rng = Rng.create 52 in
   let inputs = random_inputs rng ~m:9 ~n:3 ~max:2 in
   let r =
-    Secsumshare.run ~transport:(reliable Secsumshare.default_reliability Simnet.no_faults) rng
+    Secsumshare.run_ft ~transport:(reliable Secsumshare.default_reliability Simnet.no_faults) rng
       ~inputs ~c:3 ~q:q97
   in
-  check_int "no retransmissions on a clean network" 0 r.retransmissions
+  check_bool "complete" true (r.shares <> None);
+  check_int "no retransmissions on a clean network" 0 r.report.retransmissions
 
 let test_secsumshare_reliable_across_seeds () =
   (* Determinized stress: several loss seeds, all must converge exactly. *)
@@ -141,11 +145,11 @@ let test_secsumshare_reliable_across_seeds () =
     let m = 8 and n = 3 in
     let inputs = random_inputs rng ~m ~n ~max:2 in
     let r =
-      Secsumshare.run
+      Secsumshare.run_ft
         ~transport:(reliable Secsumshare.default_reliability (drop_plan ~seed 0.25))
         rng ~inputs ~c:3 ~q:q97
     in
-    let sums = Secsumshare.reconstruct ~q:q97 r.coordinator_shares in
+    let sums = Secsumshare.reconstruct ~q:q97 (sss_shares r) in
     for j = 0 to n - 1 do
       let expected = Array.fold_left (fun acc row -> acc + row.(j)) 0 inputs in
       check_int (Printf.sprintf "seed %d identity %d" seed j) expected sums.(j)
@@ -159,9 +163,8 @@ let test_secsumshare_crashed_provider_fails_fast () =
   let inputs = random_inputs rng ~m:8 ~n:3 ~max:2 in
   (* Provider 5 fail-stops before anything runs, on the bare transport. *)
   let plan = { Simnet.no_faults with crashes = [ (0.0, 5) ] } in
-  match Secsumshare.run ~transport:(bare plan) rng ~inputs ~c:3 ~q:q97 with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Failure _ -> ()
+  let r = Secsumshare.run_ft ~transport:(bare plan) rng ~inputs ~c:3 ~q:q97 in
+  check_bool "incomplete with a crashed provider" true (r.shares = None)
 
 let test_secsumshare_validation () =
   let rng = Rng.create 6 in
@@ -321,8 +324,13 @@ let test_countbelow_simnet_transport () =
     freqs;
   let model = Countbelow.run (Rng.create 81) ~shares ~q ~thresholds in
   let networked =
-    Countbelow.run ~transport:(`Simnet Transport.bare) (Rng.create 82) ~shares ~q
-      ~thresholds
+    match
+      (Countbelow.run_ft ~transport:(`Simnet Transport.bare) (Rng.create 82) ~shares ~q
+         ~thresholds)
+        .outcome
+    with
+    | `Done r -> r
+    | `Coordinators_failed _ -> Alcotest.fail "the bare simulated network stalled"
   in
   Alcotest.(check (array bool)) "same classification" model.common networked.common;
   Alcotest.(check (array (option int))) "same released frequencies" model.frequencies
@@ -776,6 +784,22 @@ let test_construct_ft_too_few_survivors_fails () =
         (List.mem 0 rep.excluded && List.mem 2 rep.excluded)
   | _ -> Alcotest.fail "2 of 4 providers dead cannot sustain c = 3"
 
+let test_construct_validation () =
+  (* Too few providers for c is a caller error, raised before any attempt,
+     with or without fault plans. *)
+  let membership = make_matrix ~m:2 ~freqs:[| 1; 2 |] in
+  let epsilons = [| 0.5; 0.5 |] in
+  let policy = Eppi.Policy.Basic in
+  let m_below_c = Invalid_argument "Protocol.Construct.run: need at least c providers" in
+  Alcotest.check_raises "run, m < c" m_below_c (fun () ->
+      ignore (Construct.run (Rng.create 47) ~membership ~epsilons ~policy));
+  Alcotest.check_raises "run_ft, m < c" m_below_c (fun () ->
+      ignore
+        (Construct.run_ft ~sss_plan:(drop_plan 0.1) (Rng.create 47) ~membership ~epsilons
+           ~policy));
+  Alcotest.check_raises "c < 2" (Invalid_argument "Protocol.Construct.run: need c >= 2")
+    (fun () -> ignore (Construct.run ~c:1 (Rng.create 47) ~membership ~epsilons ~policy))
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -908,6 +932,7 @@ let () =
             test_construct_ft_crash_degrades;
           Alcotest.test_case "construct ft coordinator crash degrades" `Quick
             test_construct_ft_mpc_crash_degrades;
+          Alcotest.test_case "construct validation" `Quick test_construct_validation;
           Alcotest.test_case "construct ft too few survivors fails" `Quick
             test_construct_ft_too_few_survivors_fails;
         ] );
